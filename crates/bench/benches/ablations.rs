@@ -13,19 +13,33 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use std::time::Duration;
 use wqrtq_core::incomparable::DominanceFrontier;
-use wqrtq_core::mqp::mqp;
+use wqrtq_core::mqp::mqp_view;
 use wqrtq_core::mwk::mwk_with_frontier;
 use wqrtq_core::penalty::Tolerances;
 use wqrtq_core::safe_region::SafeRegion;
 use wqrtq_core::sampling::WeightSampler;
 use wqrtq_data::synthetic::independent;
 use wqrtq_data::workload::{build_case, WorkloadSpec};
-use wqrtq_geom::Weight;
-use wqrtq_query::brtopk::{bichromatic_reverse_topk_naive, bichromatic_reverse_topk_rta};
-use wqrtq_query::rank::{rank_of_point, rank_of_point_scan};
-use wqrtq_rtree::RTree;
+use wqrtq_geom::{DeltaView, FlatPoints, Weight};
+use wqrtq_query::brtopk::{
+    bichromatic_reverse_topk_naive, rta_over_order_view_masked, rta_sorted_order, RtaScratch,
+};
+use wqrtq_query::rank::{
+    is_in_topk_view_masked_with_stats, rank_of_point_scan, rank_of_point_view,
+};
+use wqrtq_query::topk::ViewBestFirst;
+use wqrtq_rtree::{ProbeScratch, RTree};
+
+/// The R-tree over the row-major `coords` and a plain view of them.
+fn indexed(dim: usize, coords: &[f64]) -> (RTree, DeltaView) {
+    (
+        RTree::bulk_load(dim, coords),
+        DeltaView::plain(Arc::new(FlatPoints::from_row_major(dim, coords))),
+    )
+}
 
 fn small_group<'a>(
     c: &'a mut Criterion,
@@ -40,7 +54,7 @@ fn small_group<'a>(
 
 fn qp_vs_exact2d(c: &mut Criterion) {
     let ds = independent(20_000, 2, 7);
-    let tree = RTree::bulk_load(2, &ds.coords);
+    let (tree, view) = indexed(2, &ds.coords);
     let spec = WorkloadSpec {
         k: 10,
         num_why_not: 3,
@@ -50,11 +64,11 @@ fn qp_vs_exact2d(c: &mut Criterion) {
     let case = build_case(&tree, &spec, 1);
     let mut g = small_group(c, "ablation_qp_vs_exact2d");
     g.bench_function("qp", |b| {
-        b.iter(|| mqp(&tree, &case.q, case.k, &case.why_not).unwrap())
+        b.iter(|| mqp_view(&tree, &view, &case.q, case.k, &case.why_not).unwrap())
     });
     g.bench_function("exact_polygon", |b| {
         b.iter(|| {
-            let sr = SafeRegion::build(&tree, &case.q, case.k, &case.why_not).unwrap();
+            let sr = SafeRegion::build_view(&tree, &view, &case.q, case.k, &case.why_not).unwrap();
             sr.closest_point_2d()
         })
     });
@@ -63,11 +77,13 @@ fn qp_vs_exact2d(c: &mut Criterion) {
 
 fn rank_tree_vs_scan(c: &mut Criterion) {
     let ds = independent(100_000, 3, 9);
-    let tree = RTree::bulk_load(3, &ds.coords);
+    let (tree, view) = indexed(3, &ds.coords);
     let w = [0.3, 0.3, 0.4];
     let q = [0.1, 0.12, 0.09];
     let mut g = small_group(c, "ablation_rank_tree_vs_scan");
-    g.bench_function("tree_counted", |b| b.iter(|| rank_of_point(&tree, &w, &q)));
+    g.bench_function("tree_counted", |b| {
+        b.iter(|| rank_of_point_view(&tree, &view, &w, &q))
+    });
     g.bench_function("linear_scan", |b| {
         b.iter(|| rank_of_point_scan(&ds.coords, &w, &q))
     });
@@ -76,7 +92,7 @@ fn rank_tree_vs_scan(c: &mut Criterion) {
 
 fn rta_vs_naive(c: &mut Criterion) {
     let ds = independent(20_000, 3, 11);
-    let tree = RTree::bulk_load(3, &ds.coords);
+    let (tree, view) = indexed(3, &ds.coords);
     let points: Vec<wqrtq_geom::Point> = (0..ds.len())
         .map(|i| wqrtq_geom::Point::new(ds.point(i).to_vec()))
         .collect();
@@ -93,7 +109,11 @@ fn rta_vs_naive(c: &mut Criterion) {
     let q = [0.12, 0.1, 0.14];
     let mut g = small_group(c, "ablation_rta_vs_naive");
     g.bench_function("rta_buffered", |b| {
-        b.iter(|| bichromatic_reverse_topk_rta(&tree, &weights, &q, 10))
+        let mut scratch = RtaScratch::new();
+        b.iter(|| {
+            let order = rta_sorted_order(&weights);
+            rta_over_order_view_masked(&tree, &view, &weights, &order, &q, 10, None, &mut scratch)
+        })
     });
     g.bench_function("naive_per_weight", |b| {
         b.iter(|| bichromatic_reverse_topk_naive(&points, &weights, &q, 10))
@@ -106,10 +126,10 @@ fn reuse_vs_fresh(c: &mut Criterion) {
     // re-classifying the cached frontier (reuse) or re-traversing the
     // R-tree each time (fresh).
     let ds = independent(50_000, 3, 13);
-    let tree = RTree::bulk_load(3, &ds.coords);
+    let (tree, view) = indexed(3, &ds.coords);
     let spec = WorkloadSpec::paper_default();
     let case = build_case(&tree, &spec, 3);
-    let base = DominanceFrontier::from_tree(&tree, &case.q);
+    let base = DominanceFrontier::from_view(&tree, &view, &case.q);
     let samples: Vec<Vec<f64>> = wqrtq_core::sampling::sample_query_points(
         &case.q.iter().map(|x| x * 0.9).collect::<Vec<_>>(),
         &case.q,
@@ -129,7 +149,7 @@ fn reuse_vs_fresh(c: &mut Criterion) {
     g.bench_function("fresh_traversal", |b| {
         b.iter(|| {
             for (i, qp) in samples.iter().enumerate() {
-                let f = DominanceFrontier::from_tree(&tree, qp);
+                let f = DominanceFrontier::from_view(&tree, &view, qp);
                 mwk_with_frontier(&f, case.k, &case.why_not, 50, &tol, i as u64);
             }
         })
@@ -143,10 +163,10 @@ fn sampler_quality(c: &mut Criterion) {
     // samples mostly don't. We benchmark the *time* here; the penalty
     // advantage is asserted in the integration tests.
     let ds = independent(20_000, 3, 15);
-    let tree = RTree::bulk_load(3, &ds.coords);
+    let (tree, view) = indexed(3, &ds.coords);
     let spec = WorkloadSpec::paper_default();
     let case = build_case(&tree, &spec, 5);
-    let frontier = DominanceFrontier::from_tree(&tree, &case.q);
+    let frontier = DominanceFrontier::from_view(&tree, &view, &case.q);
     let mut g = small_group(c, "ablation_sampler");
     g.bench_function("hyperplane_hit_and_run", |b| {
         b.iter(|| WeightSampler::new(&frontier, &case.why_not, 1).sample(400))
@@ -171,13 +191,19 @@ fn brs_vs_ta_topk(c: &mut Criterion) {
     // the R-tree (BRS, the paper's default) vs the threshold algorithm
     // over per-dimension sorted lists.
     let ds = independent(100_000, 3, 21);
-    let tree = RTree::bulk_load(3, &ds.coords);
+    let (tree, view) = indexed(3, &ds.coords);
     let lists = wqrtq_query::ta::SortedLists::new(&ds.coords, 3);
     let w = [0.25, 0.35, 0.4];
     let mut g = small_group(c, "ablation_brs_vs_ta");
     for k in [10usize, 100] {
         g.bench_function(format!("brs_k{k}"), |b| {
-            b.iter(|| wqrtq_query::topk::topk(&tree, &w, k))
+            b.iter(|| {
+                let mut bf = ViewBestFirst::new(&tree, &view, &w);
+                std::iter::from_fn(|| bf.next_entry())
+                    .take(k)
+                    .map(|p| (p.id, p.score))
+                    .collect::<Vec<_>>()
+            })
         });
         g.bench_function(format!("ta_k{k}"), |b| b.iter(|| lists.topk(&w, k)));
         g.bench_function(format!("scan_k{k}"), |b| {
@@ -191,7 +217,7 @@ fn sampled_vs_exact2d_mwk(c: &mut Criterion) {
     // §4.3's quality-for-time trade, measured: the sampling MWK vs the
     // exact 2-D enumeration oracle.
     let ds = independent(10_000, 2, 23);
-    let tree = RTree::bulk_load(2, &ds.coords);
+    let (tree, view) = indexed(2, &ds.coords);
     let spec = WorkloadSpec {
         k: 10,
         num_why_not: 2,
@@ -203,7 +229,8 @@ fn sampled_vs_exact2d_mwk(c: &mut Criterion) {
     let mut g = small_group(c, "ablation_sampled_vs_exact2d");
     g.bench_function("sampled_s400", |b| {
         b.iter(|| {
-            wqrtq_core::mwk::mwk(&tree, &case.q, case.k, &case.why_not, 400, &tol, 5).unwrap()
+            let (q, k, wn) = (&case.q, case.k, &case.why_not);
+            wqrtq_core::mwk::mwk_view(&tree, &view, q, k, wn, 400, &tol, 5).unwrap()
         })
     });
     g.bench_function("exact_enumeration", |b| {
@@ -218,7 +245,7 @@ fn view_cache_vs_direct(c: &mut Criterion) {
     // Membership probes over a fan of similar weights: the cached-views
     // component (paper §2's cached top-k family) vs direct index probes.
     let ds = independent(50_000, 3, 29);
-    let tree = RTree::bulk_load(3, &ds.coords);
+    let (tree, view) = indexed(3, &ds.coords);
     let q = [0.6, 0.6, 0.6]; // far from the top: probes are negative
     let weights: Vec<Weight> = (0..100)
         .map(|i| {
@@ -232,15 +259,18 @@ fn view_cache_vs_direct(c: &mut Criterion) {
             let mut cache = wqrtq_query::cache::TopkViewCache::new(10, 8);
             weights
                 .iter()
-                .filter(|w| cache.is_in_topk(&tree, w, &q))
+                .filter(|w| cache.is_in_topk(&tree, &view, w, &q))
                 .count()
         })
     });
     g.bench_function("direct_probes", |b| {
+        let mut scratch = ProbeScratch::new();
         b.iter(|| {
             weights
                 .iter()
-                .filter(|w| wqrtq_query::rank::is_in_topk(&tree, w, &q, 10))
+                .filter(|w| {
+                    is_in_topk_view_masked_with_stats(&tree, &view, None, w, &q, 10, &mut scratch).0
+                })
                 .count()
         })
     });

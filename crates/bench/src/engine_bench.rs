@@ -13,13 +13,14 @@
 //! The binary `engine_bench` runs the comparison and emits a JSON report
 //! (`scripts/bench.sh` writes it to `BENCH_engine.json`).
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-use wqrtq_core::explain;
+use wqrtq_core::explain_view_with_stats;
 use wqrtq_data::synthetic::independent;
 use wqrtq_engine::{Engine, Histogram, HistogramSnapshot, Request, Response};
-use wqrtq_geom::Weight;
-use wqrtq_query::brtopk::bichromatic_reverse_topk_rta;
-use wqrtq_query::topk::topk;
+use wqrtq_geom::{DeltaView, FlatPoints, Weight};
+use wqrtq_query::brtopk::{rta_over_order_view_masked, rta_sorted_order, RtaScratch};
+use wqrtq_query::topk::ViewBestFirst;
 use wqrtq_rtree::RTree;
 
 /// Workload shape for the comparison.
@@ -241,6 +242,8 @@ fn run_sequential(cfg: &EngineBenchConfig, coords: &[f64], rebuild_per_call: boo
         Some(RTree::bulk_load(cfg.dim, coords))
     };
     let pop = population(cfg.dim);
+    // The dataset itself is shared; only the index is rebuilt per call.
+    let view = DeltaView::plain(Arc::new(FlatPoints::from_row_major(cfg.dim, coords)));
     let mut served = 0usize;
     let mut sink = 0usize; // keep results observable
     let latency = Histogram::new();
@@ -257,12 +260,30 @@ fn run_sequential(cfg: &EngineBenchConfig, coords: &[f64], rebuild_per_call: boo
                 }
             };
             match request {
-                Request::TopK { weight, k, .. } => sink += topk(tree, &weight, k).len(),
+                Request::TopK { weight, k, .. } => {
+                    let mut bf = ViewBestFirst::new(tree, &view, &weight);
+                    sink += std::iter::from_fn(|| bf.next_entry()).take(k).count()
+                }
                 Request::WhyNotExplain {
                     weight, q, limit, ..
-                } => sink += explain(tree, &weight, &q, limit).rank,
+                } => {
+                    sink += explain_view_with_stats(tree, &view, &weight, &q, limit)
+                        .0
+                        .rank
+                }
                 Request::ReverseTopKBi { q, k, .. } => {
-                    sink += bichromatic_reverse_topk_rta(tree, &pop, &q, k).len()
+                    let mut scratch = RtaScratch::new();
+                    let (members, _) = rta_over_order_view_masked(
+                        tree,
+                        &view,
+                        &pop,
+                        &rta_sorted_order(&pop),
+                        &q,
+                        k,
+                        None,
+                        &mut scratch,
+                    );
+                    sink += members.len()
                 }
                 other => unreachable!("stream only emits 3 kinds, got {other:?}"),
             }

@@ -7,14 +7,16 @@
 //! metrics of every figure in §5.
 
 use crate::params::{Config, DatasetKind};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-use wqrtq_core::mqp::mqp;
-use wqrtq_core::mqwk::mqwk;
-use wqrtq_core::mwk::mwk;
+use wqrtq_core::mqp::mqp_view;
+use wqrtq_core::mqwk::mqwk_view;
+use wqrtq_core::mwk::mwk_view;
 use wqrtq_core::penalty::Tolerances;
 use wqrtq_data::realistic::{household_like_scaled, nba_like_scaled};
 use wqrtq_data::synthetic::{anticorrelated, independent, Dataset};
 use wqrtq_data::workload::{build_case, WhyNotCase, WorkloadSpec};
+use wqrtq_geom::{DeltaView, FlatPoints};
 use wqrtq_rtree::RTree;
 
 /// The three refinement algorithms of the WQRTQ framework.
@@ -44,8 +46,10 @@ impl Algorithm {
 
 /// A prepared experiment: index + why-not case.
 pub struct Prepared {
-    /// The indexed product dataset.
+    /// The index over the product dataset.
     pub tree: RTree,
+    /// The product dataset the index was built from.
+    pub view: DeltaView,
     /// The generated why-not case.
     pub case: WhyNotCase,
     /// Sample size to use (|S| = |Q|).
@@ -94,6 +98,7 @@ pub fn prepare(cfg: &Config) -> Prepared {
     let case = build_case(&tree, &spec, cfg.seed);
     Prepared {
         tree,
+        view: DeltaView::plain(Arc::new(FlatPoints::from_row_major(ds.dim, &ds.coords))),
         case,
         sample_size: cfg.sample_size,
         seed: cfg.seed,
@@ -106,13 +111,20 @@ pub fn run_algorithm(prep: &Prepared, algorithm: Algorithm) -> Measurement {
     let start = Instant::now();
     let penalty = match algorithm {
         Algorithm::Mqp => {
-            mqp(&prep.tree, &prep.case.q, prep.case.k, &prep.case.why_not)
-                .expect("MQP succeeds")
-                .penalty
+            mqp_view(
+                &prep.tree,
+                &prep.view,
+                &prep.case.q,
+                prep.case.k,
+                &prep.case.why_not,
+            )
+            .expect("MQP succeeds")
+            .penalty
         }
         Algorithm::Mwk => {
-            mwk(
+            mwk_view(
                 &prep.tree,
+                &prep.view,
                 &prep.case.q,
                 prep.case.k,
                 &prep.case.why_not,
@@ -124,8 +136,9 @@ pub fn run_algorithm(prep: &Prepared, algorithm: Algorithm) -> Measurement {
             .penalty
         }
         Algorithm::Mqwk => {
-            mqwk(
+            mqwk_view(
                 &prep.tree,
+                &prep.view,
                 &prep.case.q,
                 prep.case.k,
                 &prep.case.why_not,

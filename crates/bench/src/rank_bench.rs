@@ -9,10 +9,10 @@
 //! * **naive scan** — an independent full rank scan per weight (the
 //!   correctness oracle every other path is checked against, bit for
 //!   bit);
-//! * **legacy RTA** — the pre-PR rank path
-//!   ([`wqrtq_query::brtopk::bichromatic_reverse_topk_rta_legacy`]):
-//!   buffered threshold test, then `is_in_topk` plus a full best-first
-//!   top-k buffer refresh per verified weight;
+//! * **legacy RTA** — the first RTA implementation, frozen here as the
+//!   speedup baseline (`bichromatic_reverse_topk_rta_legacy`): buffered
+//!   threshold test, then an early-exit membership probe plus a full
+//!   best-first top-k buffer refresh per verified weight;
 //! * **flat RTA** — the rebuilt hot path with a steady-state reused
 //!   scratch, as a serving worker runs it;
 //! * **engine** — the same single request through `Engine::submit`, at
@@ -23,15 +23,16 @@
 //! The binary `rank_bench` emits the JSON report `scripts/bench.sh`
 //! writes to `BENCH_rank.json`.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wqrtq_data::synthetic::independent;
 use wqrtq_engine::{Engine, Histogram, Request, Response, WeightSet};
-use wqrtq_geom::{Point, Weight};
+use wqrtq_geom::{score, DeltaView, FlatPoints, Point, Weight};
 use wqrtq_query::brtopk::{
-    bichromatic_reverse_topk_naive, bichromatic_reverse_topk_rta_legacy, rta_over_order,
-    rta_sorted_order, RtaScratch,
+    bichromatic_reverse_topk_naive, rta_over_order_view_masked, rta_sorted_order, RtaScratch,
+    RtaStats,
 };
-use wqrtq_rtree::RTree;
+use wqrtq_rtree::{ProbeScratch, RTree};
 
 /// Workload shape for the rank-path comparison.
 #[derive(Clone, Copy, Debug)]
@@ -285,10 +286,69 @@ fn run_engine(
     })
 }
 
+/// The first RTA implementation, frozen as the `rank_bench` baseline: a
+/// buffered threshold test over the previous weight's *exact* top-k,
+/// then an early-exit membership probe plus a full best-first top-k
+/// buffer refresh per verified weight (two traversals and `k` heap
+/// allocations each). Returns the members in ascending order.
+fn bichromatic_reverse_topk_rta_legacy(
+    tree: &RTree,
+    weights: &[Weight],
+    q: &[f64],
+    k: usize,
+) -> (Vec<usize>, RtaStats) {
+    let mut stats = RtaStats::default();
+    if weights.is_empty() || k == 0 {
+        return (Vec::new(), stats);
+    }
+
+    let order = rta_sorted_order(weights);
+    let mut result = Vec::new();
+    // Buffer: coordinates of the previous weight's top-k points.
+    let mut buffer: Vec<Vec<f64>> = Vec::new();
+
+    for &idx in &order {
+        let w = &weights[idx];
+        let sq = w.score(q);
+
+        // Threshold test: if k buffered points already beat q under this
+        // weight, q cannot be in TOPk(w) — no index work needed.
+        if buffer.len() >= k {
+            let better = buffer.iter().filter(|p| score(w, p) < sq).count();
+            if better >= k {
+                stats.buffer_prunes += 1;
+                continue;
+            }
+        }
+
+        stats.tree_verifications += 1;
+        let mut probe = ProbeScratch::new();
+        if tree
+            .probe_topk_membership(w, sq, k, &mut probe, None)
+            .in_topk
+        {
+            result.push(idx);
+        }
+        // Refresh the buffer with this weight's exact top-k.
+        buffer.clear();
+        let mut bf = tree.best_first(w);
+        for _ in 0..k {
+            match bf.next_entry() {
+                Some(r) => buffer.push(r.coords.to_vec()),
+                None => break,
+            }
+        }
+    }
+
+    result.sort_unstable();
+    (result, stats)
+}
+
 /// Runs the full comparison.
 pub fn compare(cfg: &RankBenchConfig) -> RankComparison {
     let ds = independent(cfg.n, cfg.dim, cfg.seed);
     let tree = RTree::bulk_load(cfg.dim, &ds.coords);
+    let view = DeltaView::plain(Arc::new(FlatPoints::from_row_major(cfg.dim, &ds.coords)));
     let weights = population(cfg.dim, cfg.num_weights);
     let q = query_point(cfg.dim, cfg.n, cfg.k);
     let points: Vec<Point> = ds
@@ -299,11 +359,20 @@ pub fn compare(cfg: &RankBenchConfig) -> RankComparison {
 
     // Correctness first: all paths must agree bit-for-bit.
     let oracle = bichromatic_reverse_topk_naive(&points, &weights, &q, cfg.k);
-    let legacy = bichromatic_reverse_topk_rta_legacy(&tree, &weights, &q, cfg.k);
+    let (legacy, _) = bichromatic_reverse_topk_rta_legacy(&tree, &weights, &q, cfg.k);
     assert_eq!(oracle, legacy, "legacy RTA diverged from the naive scan");
     let order = rta_sorted_order(&weights);
     let mut scratch = RtaScratch::new();
-    let (mut flat, _) = rta_over_order(&tree, &weights, &order, &q, cfg.k, &mut scratch);
+    let (mut flat, _) = rta_over_order_view_masked(
+        &tree,
+        &view,
+        &weights,
+        &order,
+        &q,
+        cfg.k,
+        None,
+        &mut scratch,
+    );
     flat.sort_unstable();
     assert_eq!(oracle, flat, "flat RTA diverged from the naive scan");
 
@@ -322,7 +391,16 @@ pub fn compare(cfg: &RankBenchConfig) -> RankComparison {
         // Steady-state serving shape: similarity order per request, the
         // worker's scratch reused across requests.
         let order = rta_sorted_order(&weights);
-        let (mut members, _) = rta_over_order(&tree, &weights, &order, &q, cfg.k, &mut scratch);
+        let (mut members, _) = rta_over_order_view_masked(
+            &tree,
+            &view,
+            &weights,
+            &order,
+            &q,
+            cfg.k,
+            None,
+            &mut scratch,
+        );
         members.sort_unstable();
         std::hint::black_box(members);
     });
@@ -377,6 +455,39 @@ mod tests {
         assert!(json.contains("\"p99_us\""));
         assert!(c.flat_rta.p99_us >= c.flat_rta.p50_us);
         assert!(c.flat_rta.p50_us > 0.0);
+    }
+
+    #[test]
+    fn legacy_rta_matches_naive_on_paper_example() {
+        let fig = wqrtq_data::figure1::dataset();
+        let tree = RTree::bulk_load(2, &fig.flat_products());
+        let (res, stats) =
+            bichromatic_reverse_topk_rta_legacy(&tree, &fig.customers, fig.apple.coords(), 3);
+        assert_eq!(res, vec![1, 2]); // Tony, Anna
+        assert_eq!(stats.buffer_prunes + stats.tree_verifications, 4);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn legacy_rta_equals_naive(
+            pts in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 5..120),
+            q in (0.0f64..10.0, 0.0f64..10.0),
+            k in 1usize..8,
+            nw in 1usize..16,
+        ) {
+            let points: Vec<Point> = pts.iter().map(|(a, b)| Point::from([*a, *b])).collect();
+            let flat: Vec<f64> = pts.iter().flat_map(|(a, b)| [*a, *b]).collect();
+            let tree = RTree::bulk_load_with_fanout(2, &flat, 8);
+            let weights: Vec<Weight> = (0..nw)
+                .map(|i| Weight::from_first_2d((i as f64 + 0.5) / nw as f64))
+                .collect();
+            let qv = [q.0, q.1];
+            let naive = bichromatic_reverse_topk_naive(&points, &weights, &qv, k);
+            let (legacy, _) = bichromatic_reverse_topk_rta_legacy(&tree, &weights, &qv, k);
+            proptest::prop_assert_eq!(&naive, &legacy);
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!   index (the path the engine takes for every large dataset): the
 //!   dominance-masked probe against the unmasked one.
 //! * **RTA** — the culprit-pool reverse top-k sweep over the whole
-//!   population ([`rta_over_order_masked`]), masked against unmasked.
+//!   population ([`rta_over_order_view_masked`] on a plain view), masked
+//!   against unmasked.
 //!
 //! A four-way flat-scan ablation rides along (quantized + mask,
 //! quantized only, mask only, exact) — the overlay-correction path —
@@ -33,8 +34,8 @@ use std::time::{Duration, Instant};
 use wqrtq_data::synthetic::independent;
 use wqrtq_geom::delta::DeltaView;
 use wqrtq_geom::flat::FlatPoints;
-use wqrtq_query::brtopk::{rta_over_order_masked, rta_sorted_order, RtaScratch};
-use wqrtq_query::rank::{is_in_topk_masked, is_in_topk_scratch};
+use wqrtq_query::brtopk::{rta_over_order_view_masked, rta_sorted_order, RtaScratch};
+use wqrtq_query::rank::is_in_topk_view_masked_with_stats;
 use wqrtq_rtree::{DominanceIndex, ProbeScratch, RTree};
 
 use crate::rank_bench::{population, query_point};
@@ -343,27 +344,27 @@ fn measure_cell(cfg: &ScaleBenchConfig, n: usize, dim: usize) -> ScaleCell {
     bit_identical &= oracle == verdicts(&|w| view_quant.is_in_topk_masked(w, &q, k, counts));
     bit_identical &= oracle == verdicts(&|w| view_quant.is_in_topk(w, &q, k));
     bit_identical &= oracle == verdicts(&|w| view_exact.is_in_topk_masked(w, &q, k, counts));
+    // Index probes over the exact plain view, with and without the mask.
+    let probe = |mask: Option<&DominanceIndex>, w: &[f64], scratch: &mut ProbeScratch| {
+        is_in_topk_view_masked_with_stats(&tree, &view_exact, mask, w, &q, k, scratch).0
+    };
     let mut probe_scratch = ProbeScratch::new();
-    {
+    for mask in [None, Some(&dom)] {
         let probed: Vec<bool> = weights
             .iter()
-            .map(|w| is_in_topk_scratch(&tree, w.as_slice(), &q, k, &mut probe_scratch))
+            .map(|w| probe(mask, w.as_slice(), &mut probe_scratch))
             .collect();
         bit_identical &= oracle == probed;
-        let probed_masked: Vec<bool> = weights
-            .iter()
-            .map(|w| is_in_topk_masked(&tree, &dom, w.as_slice(), &q, k, &mut probe_scratch))
-            .collect();
-        bit_identical &= oracle == probed_masked;
     }
     let expected_members = oracle.iter().filter(|&&b| b).count();
 
     let order = rta_sorted_order(&weights);
     let mut scratch = RtaScratch::new();
-    let (rta_unmasked, _) =
-        rta_over_order_masked(&tree, &weights, &order, &q, k, None, &mut scratch);
-    let (rta_masked, rta_stats) =
-        rta_over_order_masked(&tree, &weights, &order, &q, k, Some(&dom), &mut scratch);
+    let rta = |mask: Option<&DominanceIndex>, scratch: &mut RtaScratch| {
+        rta_over_order_view_masked(&tree, &view_exact, &weights, &order, &q, k, mask, scratch)
+    };
+    let (rta_unmasked, _) = rta(None, &mut scratch);
+    let (rta_masked, rta_stats) = rta(Some(&dom), &mut scratch);
     bit_identical &= rta_masked == rta_unmasked;
     bit_identical &= rta_masked.len() == expected_members;
     let frontier_size = counts.iter().filter(|&&c| (c as usize) < k).count();
@@ -382,7 +383,7 @@ fn measure_cell(cfg: &ScaleBenchConfig, n: usize, dim: usize) -> ScaleCell {
         let mut pass = || {
             let hits = weights
                 .iter()
-                .filter(|w| is_in_topk_masked(&tree, &dom, w.as_slice(), &q, k, scratch))
+                .filter(|w| probe(Some(&dom), w.as_slice(), scratch))
                 .count();
             assert_eq!(hits, expected_members, "masked probe verdicts drifted");
         };
@@ -393,7 +394,7 @@ fn measure_cell(cfg: &ScaleBenchConfig, n: usize, dim: usize) -> ScaleCell {
         let mut pass = || {
             let hits = weights
                 .iter()
-                .filter(|w| is_in_topk_scratch(&tree, w.as_slice(), &q, k, scratch))
+                .filter(|w| probe(None, w.as_slice(), scratch))
                 .count();
             assert_eq!(hits, expected_members, "probe verdicts drifted");
         };
@@ -413,13 +414,11 @@ fn measure_cell(cfg: &ScaleBenchConfig, n: usize, dim: usize) -> ScaleCell {
     });
 
     let rta_on = time_passes(cfg.repeats, 1, || {
-        let (members, _) =
-            rta_over_order_masked(&tree, &weights, &order, &q, k, Some(&dom), &mut scratch);
+        let (members, _) = rta(Some(&dom), &mut scratch);
         assert_eq!(members.len(), expected_members, "masked RTA drifted");
     });
     let rta_off = time_passes(cfg.repeats, 1, || {
-        let (members, _) =
-            rta_over_order_masked(&tree, &weights, &order, &q, k, None, &mut scratch);
+        let (members, _) = rta(None, &mut scratch);
         assert_eq!(members.len(), expected_members, "unmasked RTA drifted");
     });
 

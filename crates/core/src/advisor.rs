@@ -235,18 +235,12 @@ impl<T: Borrow<RTree>> Wqrtq<T> {
                 },
             ),
             StrategyKind::Mwk => {
-                // The exact 2-D sweep is globally optimal and needs the
-                // live row buffer; it applies whenever the facade holds
-                // a view (the engine always does) and the caller did not
-                // pin the sampled path.
-                if options.exact_2d && self.tree().dim() == 2 && self.view().is_some() {
-                    let live = self
-                        .view()
-                        .expect("checked above")
-                        .materialize_row_major()
-                        .0;
+                // The exact 2-D sweep is globally optimal; it applies
+                // whenever the data is 2-D and the caller did not pin
+                // the sampled path.
+                if options.exact_2d && self.tree().dim() == 2 {
                     (
-                        self.answer_mwk_exact_2d(&live, why_not)?,
+                        self.answer_mwk_exact_2d(why_not)?,
                         StepStats {
                             exact: true,
                             sample_size: 0,
@@ -463,32 +457,21 @@ impl<T: Borrow<RTree>> Wqrtq<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn fig_points() -> Vec<f64> {
-        vec![
-            2.0, 1.0, 6.0, 3.0, 1.0, 9.0, 9.0, 3.0, 7.0, 5.0, 5.0, 8.0, 3.0, 7.0,
-        ]
-    }
+    use crate::test_support::{fig, fig_points, kevin_julia};
 
     fn fig_tree() -> RTree {
-        RTree::bulk_load(2, &fig_points())
+        fig().0
     }
 
-    fn kevin_julia() -> Vec<Weight> {
-        vec![Weight::new(vec![0.1, 0.9]), Weight::new(vec![0.9, 0.1])]
-    }
-
+    /// The paper's query `q = (4, 4)`, `k = 3` over Figure 1.
     fn plain_view_facade(tree: &RTree) -> Wqrtq<&RTree> {
-        use std::sync::Arc;
-        use wqrtq_geom::{DeltaView, FlatPoints};
-        let view = DeltaView::plain(Arc::new(FlatPoints::from_row_major(2, &fig_points())));
-        Wqrtq::with_view(tree, view, &[4.0, 4.0], 3).unwrap()
+        Wqrtq::with_view(tree, fig().1, &[4.0, 4.0], 3).unwrap()
     }
 
     #[test]
     fn plan_is_ranked_verified_and_recommends_the_minimum() {
         let tree = fig_tree();
-        let w = Wqrtq::new(&tree, &[4.0, 4.0], 3).unwrap();
+        let w = plain_view_facade(&tree);
         let plan = w.advise(&kevin_julia(), &WhyNotOptions::default()).unwrap();
         assert_eq!(plan.explanations.len(), 2);
         assert_eq!(plan.k_max, 4);
@@ -511,9 +494,7 @@ mod tests {
     fn breakdown_terms_recombine_into_the_penalty() {
         let tree = fig_tree();
         let tol = Tolerances::new(0.3, 0.7, 0.6, 0.4);
-        let w = Wqrtq::new(&tree, &[4.0, 4.0], 3)
-            .unwrap()
-            .with_tolerances(tol);
+        let w = plain_view_facade(&tree).with_tolerances(tol);
         let mut options = WhyNotOptions {
             tol,
             ..WhyNotOptions::default()
@@ -540,7 +521,7 @@ mod tests {
     }
 
     #[test]
-    fn exact_2d_is_auto_selected_on_view_facades() {
+    fn exact_2d_is_auto_selected_on_2d_data() {
         let tree = fig_tree();
         let w = plain_view_facade(&tree);
         let wn = kevin_julia();
@@ -550,7 +531,7 @@ mod tests {
             .iter()
             .find(|s| s.strategy == StrategyKind::Mwk)
             .unwrap();
-        assert!(mwk.stats.exact, "2-D view facade must take the exact path");
+        assert!(mwk.stats.exact, "2-D data must take the exact path");
         // The exact step matches the standalone oracle bit for bit.
         let oracle = crate::exact2d::mwk_exact_2d(
             &fig_points(),
@@ -579,7 +560,7 @@ mod tests {
     #[test]
     fn events_stream_in_execution_order() {
         let tree = fig_tree();
-        let w = Wqrtq::new(&tree, &[4.0, 4.0], 3).unwrap();
+        let w = plain_view_facade(&tree);
         let mut trace = Vec::new();
         let mut timed = Vec::new();
         let plan = w
@@ -607,7 +588,7 @@ mod tests {
     #[test]
     fn strategy_subset_and_duplicates_are_canonicalised() {
         let tree = fig_tree();
-        let w = Wqrtq::new(&tree, &[4.0, 4.0], 3).unwrap();
+        let w = plain_view_facade(&tree);
         let options = WhyNotOptions {
             strategies: vec![StrategyKind::Mwk, StrategyKind::Mqp, StrategyKind::Mqp],
             ..WhyNotOptions::default()
@@ -621,7 +602,7 @@ mod tests {
     #[test]
     fn empty_strategy_set_is_a_typed_error() {
         let tree = fig_tree();
-        let w = Wqrtq::new(&tree, &[4.0, 4.0], 3).unwrap();
+        let w = plain_view_facade(&tree);
         let options = WhyNotOptions {
             strategies: Vec::new(),
             ..WhyNotOptions::default()
@@ -638,7 +619,7 @@ mod tests {
         // exact_2d disabled; it must reproduce the direct facade calls
         // exactly.
         let tree = fig_tree();
-        let w = Wqrtq::new(&tree, &[4.0, 4.0], 3).unwrap();
+        let w = plain_view_facade(&tree);
         let wn = kevin_julia();
         let ranks = w.validate_why_not(&wn).unwrap();
         let options = WhyNotOptions {

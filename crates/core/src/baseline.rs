@@ -16,14 +16,17 @@ use crate::error::WhyNotError;
 use crate::incomparable::DominanceFrontier;
 use crate::mwk::{mwk_with_frontier, MwkResult};
 use crate::penalty::{preference_penalty, Tolerances};
-use wqrtq_geom::Weight;
+use wqrtq_geom::{DeltaView, Weight};
 use wqrtq_rtree::RTree;
 
 /// Refines each why-not vector independently (each with its own optimal
 /// `(wᵢ′, kᵢ′)`), then combines them with `k′ = max kᵢ′` and reports the
-/// *joint* penalty of the combination under Eq. (4).
+/// *joint* penalty of the combination under Eq. (4). `tree` indexes the
+/// base rows of `view`.
+#[allow(clippy::too_many_arguments)] // MWK's input list
 pub fn separate_refinement(
     tree: &RTree,
+    view: &DeltaView,
     q: &[f64],
     k: usize,
     why_not: &[Weight],
@@ -40,7 +43,7 @@ pub fn separate_refinement(
             got: q.len(),
         });
     }
-    let frontier = DominanceFrontier::from_tree(tree, q);
+    let frontier = DominanceFrontier::from_view(tree, view, q);
 
     let mut refined = Vec::with_capacity(why_not.len());
     let mut k_prime = k;
@@ -77,35 +80,18 @@ pub fn separate_refinement(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mwk::mwk;
-    use wqrtq_query::rank::rank_of_point;
-
-    fn fig_tree() -> RTree {
-        let pts = vec![
-            2.0, 1.0, 6.0, 3.0, 1.0, 9.0, 9.0, 3.0, 7.0, 5.0, 5.0, 8.0, 3.0, 7.0,
-        ];
-        RTree::bulk_load(2, &pts)
-    }
-
-    fn kevin_julia() -> Vec<Weight> {
-        vec![Weight::new(vec![0.1, 0.9]), Weight::new(vec![0.9, 0.1])]
-    }
+    use crate::mwk::mwk_view;
+    use crate::test_support::{fig, kevin_julia};
+    use wqrtq_query::rank::rank_of_point_view;
 
     #[test]
     fn separate_answer_is_still_valid() {
-        let tree = fig_tree();
-        let res = separate_refinement(
-            &tree,
-            &[4.0, 4.0],
-            3,
-            &kevin_julia(),
-            300,
-            &Tolerances::paper_default(),
-            7,
-        )
-        .unwrap();
+        let (tree, view) = fig();
+        let q = [4.0, 4.0];
+        let tol = Tolerances::paper_default();
+        let res = separate_refinement(&tree, &view, &q, 3, &kevin_julia(), 300, &tol, 7).unwrap();
         for w in &res.refined {
-            let r = rank_of_point(&tree, w, &[4.0, 4.0]);
+            let r = rank_of_point_view(&tree, &view, w, &q);
             assert!(r <= res.k_prime, "rank {r} > k′ {}", res.k_prime);
         }
     }
@@ -114,13 +100,13 @@ mod tests {
     fn joint_mwk_no_worse_than_separate() {
         // The paper's §3 claim, on the running example with a shared
         // deterministic sample budget.
-        let tree = fig_tree();
+        let (tree, view) = fig();
         let tol = Tolerances::paper_default();
         let q = [4.0, 4.0];
         let wn = kevin_julia();
         for seed in [1u64, 7, 13, 42] {
-            let joint = mwk(&tree, &q, 3, &wn, 300, &tol, seed).unwrap();
-            let separate = separate_refinement(&tree, &q, 3, &wn, 300, &tol, seed).unwrap();
+            let joint = mwk_view(&tree, &view, &q, 3, &wn, 300, &tol, seed).unwrap();
+            let separate = separate_refinement(&tree, &view, &q, 3, &wn, 300, &tol, seed).unwrap();
             assert!(
                 joint.penalty <= separate.penalty + 1e-9,
                 "seed {seed}: joint {} > separate {}",
@@ -132,17 +118,10 @@ mod tests {
 
     #[test]
     fn empty_set_rejected() {
-        let tree = fig_tree();
+        let (tree, view) = fig();
+        let tol = Tolerances::paper_default();
         assert!(matches!(
-            separate_refinement(
-                &tree,
-                &[4.0, 4.0],
-                3,
-                &[],
-                10,
-                &Tolerances::paper_default(),
-                1
-            ),
+            separate_refinement(&tree, &view, &[4.0, 4.0], 3, &[], 10, &tol, 1),
             Err(WhyNotError::EmptyWhyNot)
         ));
     }

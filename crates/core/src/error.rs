@@ -24,6 +24,9 @@ pub enum WhyNotError {
         /// Offending dimensionality.
         got: usize,
     },
+    /// The query's `k` is zero: no weighting vector has a top-0 result
+    /// to admit `q` into, and no top-k-th point bounds a safe region.
+    ZeroK,
     /// The dataset has fewer than `k` points, so top-k-th points (and the
     /// safe region) are undefined.
     DatasetSmallerThanK {
@@ -50,6 +53,7 @@ impl fmt::Display for WhyNotError {
             WhyNotError::DimensionMismatch { expected, got } => {
                 write!(f, "dimension mismatch: expected {expected}, got {got}")
             }
+            WhyNotError::ZeroK => write!(f, "k = 0: a reverse top-k query needs k ≥ 1"),
             WhyNotError::DatasetSmallerThanK { len, k } => {
                 write!(f, "dataset of {len} points is smaller than k = {k}")
             }
@@ -86,6 +90,7 @@ mod tests {
         assert!(WhyNotError::DatasetSmallerThanK { len: 4, k: 9 }
             .to_string()
             .contains("k = 9"));
+        assert!(WhyNotError::ZeroK.to_string().contains("k = 0"));
         assert!(WhyNotError::QpFailure("nope".into())
             .to_string()
             .contains("nope"));

@@ -168,19 +168,9 @@ pub fn mwk_exact_2d(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mwk::mwk;
+    use crate::mwk::mwk_view;
+    use crate::test_support::{fig_points, indexed, kevin_julia};
     use wqrtq_query::rank::rank_of_point_scan as rank_scan;
-    use wqrtq_rtree::RTree;
-
-    fn fig_points() -> Vec<f64> {
-        vec![
-            2.0, 1.0, 6.0, 3.0, 1.0, 9.0, 9.0, 3.0, 7.0, 5.0, 5.0, 8.0, 3.0, 7.0,
-        ]
-    }
-
-    fn kevin_julia() -> Vec<Weight> {
-        vec![Weight::new(vec![0.1, 0.9]), Weight::new(vec![0.9, 0.1])]
-    }
 
     #[test]
     fn paper_example_exact_optimum() {
@@ -219,10 +209,10 @@ mod tests {
     #[test]
     fn sampled_mwk_converges_to_exact_on_paper_example() {
         let pts = fig_points();
-        let tree = RTree::bulk_load(2, &pts);
+        let (tree, view) = indexed(2, &pts);
         let tol = Tolerances::paper_default();
         let exact = mwk_exact_2d(&pts, &[4.0, 4.0], 3, &kevin_julia(), &tol);
-        let sampled = mwk(&tree, &[4.0, 4.0], 3, &kevin_julia(), 800, &tol, 9).unwrap();
+        let sampled = mwk_view(&tree, &view, &[4.0, 4.0], 3, &kevin_julia(), 800, &tol, 9).unwrap();
         assert!(sampled.penalty >= exact.penalty - 1e-9, "oracle beaten?");
         assert!(
             sampled.penalty <= exact.penalty + 1e-6,
@@ -244,7 +234,7 @@ mod tests {
                 pts.push((state >> 11) as f64 / (1u64 << 53) as f64);
             }
         }
-        let tree = RTree::bulk_load(2, &pts);
+        let (tree, view) = indexed(2, &pts);
         let tol = Tolerances::paper_default();
         // A competitive q, why-not under a top-heavy weight.
         let q = [0.02, 0.2];
@@ -253,7 +243,7 @@ mod tests {
         assert!(rank > 10, "setup: rank {rank}");
         let wm = vec![w];
         let exact = mwk_exact_2d(&pts, &q, 10, &wm, &tol);
-        let sampled = mwk(&tree, &q, 10, &wm, 400, &tol, 3).unwrap();
+        let sampled = mwk_view(&tree, &view, &q, 10, &wm, 400, &tol, 3).unwrap();
         assert!(sampled.penalty + 1e-9 >= exact.penalty);
         assert!(
             sampled.penalty <= exact.penalty * 1.5 + 0.02,

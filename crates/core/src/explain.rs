@@ -36,66 +36,15 @@ pub struct Explanation {
 }
 
 /// Explains why `q` is not in `TOPk(w)` by listing the points that
-/// outrank it. `limit` bounds the number of returned culprits (the rank
-/// is still exact); pass `usize::MAX` for all of them.
-pub fn explain(tree: &RTree, w: &[f64], q: &[f64], limit: usize) -> Explanation {
-    explain_with_stats(tree, w, q, limit).0
-}
-
-/// [`explain`], additionally reporting the number of index nodes the
-/// progressive scan expanded (the `|RT|` cost term) — used by serving
-/// layers for per-request metrics.
-pub fn explain_with_stats(
-    tree: &RTree,
-    w: &[f64],
-    q: &[f64],
-    limit: usize,
-) -> (Explanation, usize) {
-    let sq = score(w, q);
-    let mut culprits = Vec::new();
-    let mut rank = 1usize;
-    let mut truncated = false;
-    let mut bf = tree.best_first(w);
-    while let Some(p) = bf.next_entry() {
-        if p.score >= sq {
-            break;
-        }
-        rank += 1;
-        if culprits.len() < limit {
-            culprits.push(Culprit {
-                id: p.id,
-                score: p.score,
-                coords: p.coords.to_vec(),
-            });
-        } else {
-            truncated = true;
-        }
-    }
-    (
-        Explanation {
-            culprits,
-            rank,
-            truncated,
-        },
-        bf.nodes_visited(),
-    )
-}
-
-/// [`explain`] over a delta overlay: the progressive scan runs on the
+/// outrank it, over the live points of a delta overlay. `limit` bounds
+/// the number of returned culprits (the rank is still exact); pass
+/// `usize::MAX` for all of them. The progressive scan runs on the
 /// merged live ranking (base index minus tombstones, plus appended
 /// rows), so culprits and the exact rank are those of a dataset rebuilt
 /// from the live rows.
-pub fn explain_view(
-    tree: &RTree,
-    view: &DeltaView,
-    w: &[f64],
-    q: &[f64],
-    limit: usize,
-) -> Explanation {
-    explain_view_with_stats(tree, view, w, q, limit).0
-}
-
-/// [`explain_view`] with the index-node count of the base traversal.
+///
+/// Also returns the number of index nodes the scan expanded (the `|RT|`
+/// cost term), which serving layers report per request.
 pub fn explain_view_with_stats(
     tree: &RTree,
     view: &DeltaView,
@@ -136,20 +85,18 @@ pub fn explain_view_with_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::{fig, fig_points, indexed, overlay};
 
-    fn fig_tree() -> RTree {
-        let pts = vec![
-            2.0, 1.0, 6.0, 3.0, 1.0, 9.0, 9.0, 3.0, 7.0, 5.0, 5.0, 8.0, 3.0, 7.0,
-        ];
-        RTree::bulk_load(2, &pts)
+    fn explain(w: &[f64], limit: usize) -> Explanation {
+        let (t, v) = fig();
+        explain_view_with_stats(&t, &v, w, &[4.0, 4.0], limit).0
     }
 
     #[test]
     fn kevin_is_excluded_by_p1_p2_p4() {
         // §3: "for w1 in Figure 1, there are three points, i.e., p1, p2,
         // and p4, with scores smaller than that of q".
-        let t = fig_tree();
-        let e = explain(&t, &[0.1, 0.9], &[4.0, 4.0], usize::MAX);
+        let e = explain(&[0.1, 0.9], usize::MAX);
         let ids: Vec<u32> = e.culprits.iter().map(|c| c.id).collect();
         assert_eq!(ids, vec![0, 1, 3]); // ascending score: 1.1, 3.3, 3.6
         assert_eq!(e.rank, 4);
@@ -158,8 +105,7 @@ mod tests {
 
     #[test]
     fn julia_is_excluded_by_p3_p1_p7() {
-        let t = fig_tree();
-        let e = explain(&t, &[0.9, 0.1], &[4.0, 4.0], usize::MAX);
+        let e = explain(&[0.9, 0.1], usize::MAX);
         let ids: Vec<u32> = e.culprits.iter().map(|c| c.id).collect();
         assert_eq!(ids, vec![2, 0, 6]); // scores 1.8 < 1.9 < 3.4
         assert_eq!(e.rank, 4);
@@ -167,8 +113,7 @@ mod tests {
 
     #[test]
     fn member_vector_has_no_culprits_beyond_its_rank() {
-        let t = fig_tree();
-        let e = explain(&t, &[0.5, 0.5], &[4.0, 4.0], usize::MAX);
+        let e = explain(&[0.5, 0.5], usize::MAX);
         assert_eq!(e.rank, 2);
         assert_eq!(e.culprits.len(), 1);
         assert_eq!(e.culprits[0].id, 0);
@@ -176,8 +121,7 @@ mod tests {
 
     #[test]
     fn limit_truncates_but_rank_stays_exact() {
-        let t = fig_tree();
-        let e = explain(&t, &[0.1, 0.9], &[4.0, 4.0], 1);
+        let e = explain(&[0.1, 0.9], 1);
         assert_eq!(e.culprits.len(), 1);
         assert_eq!(e.rank, 4);
         assert!(e.truncated);
@@ -185,25 +129,15 @@ mod tests {
 
     #[test]
     fn view_explanation_matches_rebuilt_oracle() {
-        use std::sync::Arc;
-        use wqrtq_geom::FlatPoints;
-        let pts = vec![
-            2.0, 1.0, 6.0, 3.0, 1.0, 9.0, 9.0, 3.0, 7.0, 5.0, 5.0, 8.0, 3.0, 7.0,
-        ];
-        let tree = RTree::bulk_load(2, &pts);
-        let view = DeltaView::new(
-            Arc::new(FlatPoints::from_row_major(2, &pts)),
-            Arc::new(vec![4.5, 2.0, 0.5, 0.5]),
-            Arc::new(vec![7, 8]),
-            Arc::new(vec![6.0, 3.0, 7.0, 5.0]),
-            Arc::new(vec![1, 4]),
-        );
+        let (tree, _) = fig();
+        let view = overlay(&fig_points(), &[4.5, 2.0, 0.5, 0.5], &[1, 4]);
         let (live, ids) = view.materialize_row_major();
-        let rebuilt = RTree::bulk_load(2, &live);
+        let (rebuilt, rebuilt_view) = indexed(2, &live);
         for w in [[0.1, 0.9], [0.5, 0.5], [0.9, 0.1]] {
             for limit in [0, 2, usize::MAX] {
-                let got = explain_view(&tree, &view, &w, &[4.0, 4.0], limit);
-                let oracle = explain(&rebuilt, &w, &[4.0, 4.0], limit);
+                let (got, _) = explain_view_with_stats(&tree, &view, &w, &[4.0, 4.0], limit);
+                let (oracle, _) =
+                    explain_view_with_stats(&rebuilt, &rebuilt_view, &w, &[4.0, 4.0], limit);
                 assert_eq!(got.rank, oracle.rank, "w {w:?}");
                 assert_eq!(got.truncated, oracle.truncated);
                 assert_eq!(got.culprits.len(), oracle.culprits.len());
@@ -218,8 +152,7 @@ mod tests {
 
     #[test]
     fn scores_are_ascending_and_below_q() {
-        let t = fig_tree();
-        let e = explain(&t, &[0.3, 0.7], &[4.0, 4.0], usize::MAX);
+        let e = explain(&[0.3, 0.7], usize::MAX);
         let sq = 0.3 * 4.0 + 0.7 * 4.0;
         assert!(e.culprits.windows(2).all(|w| w[0].score <= w[1].score));
         assert!(e.culprits.iter().all(|c| c.score < sq));

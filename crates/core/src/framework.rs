@@ -8,14 +8,14 @@
 //! explanation under one roof.
 
 use crate::error::WhyNotError;
-use crate::explain::{explain, explain_view, Explanation};
-use crate::mqp::{mqp, mqp_view};
-use crate::mqwk::{mqwk, mqwk_view};
-use crate::mwk::{mwk, mwk_view};
+use crate::explain::{explain_view_with_stats, Explanation};
+use crate::mqp::mqp_view;
+use crate::mqwk::mqwk_view;
+use crate::mwk::mwk_view;
 use crate::penalty::Tolerances;
 use std::borrow::Borrow;
 use wqrtq_geom::{DeltaView, Weight};
-use wqrtq_query::rank::{is_in_topk_scratch, is_in_topk_view, rank_of_point, rank_of_point_view};
+use wqrtq_query::rank::{is_in_topk_view_masked_with_stats, rank_of_point_view};
 use wqrtq_rtree::{ProbeScratch, RTree};
 
 /// A refined reverse top-k query, as returned by the framework.
@@ -60,53 +60,30 @@ pub struct WqrtqAnswer {
 /// (the `wqrtq-engine` worker pool) hand in a shared `Arc<RTree>` — the
 /// index is built once, never per call.
 ///
-/// The facade is also generic over the *snapshot* it answers against:
-/// constructed with [`Wqrtq::new`] it serves the indexed rows verbatim;
-/// constructed with [`Wqrtq::with_view`] it serves a [`DeltaView`]
-/// overlay — appended rows and tombstones folded into every rank test,
-/// constraint plane, dominance frontier and verification, so answers
-/// match a dataset rebuilt from the live rows without any rebuild.
+/// The facade answers against a [`DeltaView`] of the indexed rows: a
+/// plain view serves them verbatim, an overlay folds its appended rows
+/// and tombstones into every rank test, constraint plane, dominance
+/// frontier and verification, so answers match a dataset rebuilt from
+/// the live rows without any rebuild.
 #[derive(Clone, Debug)]
 pub struct Wqrtq<T: Borrow<RTree>> {
     tree: T,
-    /// `Some` when answering over a delta overlay of the indexed base.
-    view: Option<DeltaView>,
+    view: DeltaView,
     q: Vec<f64>,
     k: usize,
     tol: Tolerances,
 }
 
 impl<T: Borrow<RTree>> Wqrtq<T> {
-    /// Wraps a query. `tree` is the pre-built index over the product
-    /// dataset `P` (borrowed or shared); `q` is the query point and `k`
-    /// the original parameter.
-    ///
-    /// # Errors
-    /// Returns [`WhyNotError::DimensionMismatch`] when `q` does not match
-    /// the dataset.
-    pub fn new(tree: T, q: &[f64], k: usize) -> Result<Self, WhyNotError> {
-        if q.len() != tree.borrow().dim() {
-            return Err(WhyNotError::DimensionMismatch {
-                expected: tree.borrow().dim(),
-                got: q.len(),
-            });
-        }
-        Ok(Self {
-            tree,
-            view: None,
-            q: q.to_vec(),
-            k,
-            tol: Tolerances::paper_default(),
-        })
-    }
-
-    /// Wraps a query over a delta overlay: `tree` is the index of
-    /// `view`'s *base* rows; every answer accounts for the overlay's
-    /// appends and tombstones.
+    /// Wraps a query. `tree` is the pre-built index over `view`'s *base*
+    /// rows (borrowed or shared), `view` the dataset snapshot to answer
+    /// against (`DeltaView::plain` for an unmutated dataset), `q` the
+    /// query point and `k` the original parameter.
     ///
     /// # Errors
     /// Returns [`WhyNotError::DimensionMismatch`] when `q` or the view
-    /// does not match the index.
+    /// does not match the index, and [`WhyNotError::ZeroK`] when `k` is
+    /// zero.
     pub fn with_view(tree: T, view: DeltaView, q: &[f64], k: usize) -> Result<Self, WhyNotError> {
         let dim = tree.borrow().dim();
         if q.len() != dim || view.dim() != dim {
@@ -115,26 +92,26 @@ impl<T: Borrow<RTree>> Wqrtq<T> {
                 got: if q.len() != dim { q.len() } else { view.dim() },
             });
         }
+        if k == 0 {
+            return Err(WhyNotError::ZeroK);
+        }
         Ok(Self {
             tree,
-            view: Some(view),
+            view,
             q: q.to_vec(),
             k,
             tol: Tolerances::paper_default(),
         })
     }
 
-    /// The overlay snapshot, when answering over one.
-    pub fn view(&self) -> Option<&DeltaView> {
-        self.view.as_ref()
+    /// The dataset snapshot this facade answers against.
+    pub fn view(&self) -> &DeltaView {
+        &self.view
     }
 
     /// Rank of `q` under `w` against this facade's snapshot.
     fn rank_under(&self, w: &Weight) -> usize {
-        match &self.view {
-            Some(v) => rank_of_point_view(self.tree(), v, w, &self.q),
-            None => rank_of_point(self.tree(), w, &self.q),
-        }
+        rank_of_point_view(self.tree(), &self.view, w, &self.q)
     }
 
     /// The wrapped index.
@@ -196,38 +173,7 @@ impl<T: Borrow<RTree>> Wqrtq<T> {
     /// Aspect 1: why is `w` not in the reverse top-k result? Lists the
     /// culprit points (§3).
     pub fn explain(&self, w: &Weight, limit: usize) -> Explanation {
-        match &self.view {
-            Some(v) => explain_view(self.tree(), v, w, &self.q, limit),
-            None => explain(self.tree(), w, &self.q, limit),
-        }
-    }
-
-    /// Splits a bichromatic weight population `W` into
-    /// (`BRTOPk(q)`, `W ∖ BRTOPk(q)`) — the second component is the set
-    /// of *valid why-not inputs* per Definition 5. Indices refer to
-    /// `weights`.
-    pub fn partition_population(&self, weights: &[Weight]) -> (Vec<usize>, Vec<usize>) {
-        let members = match &self.view {
-            Some(v) => wqrtq_query::brtopk::bichromatic_reverse_topk_rta_view(
-                self.tree(),
-                v,
-                weights,
-                &self.q,
-                self.k,
-            ),
-            None => wqrtq_query::brtopk::bichromatic_reverse_topk_rta(
-                self.tree(),
-                weights,
-                &self.q,
-                self.k,
-            ),
-        };
-        let mut in_result = vec![false; weights.len()];
-        for &i in &members {
-            in_result[i] = true;
-        }
-        let missing = (0..weights.len()).filter(|&i| !in_result[i]).collect();
-        (members, missing)
+        explain_view_with_stats(self.tree(), &self.view, w, &self.q, limit).0
     }
 
     /// Solution 1: modify the query point (MQP).
@@ -239,10 +185,7 @@ impl<T: Borrow<RTree>> Wqrtq<T> {
     /// MQP without the why-not validation pass — for callers (the
     /// advisor) that validated the set once already.
     pub(crate) fn answer_mqp(&self, why_not: &[Weight]) -> Result<WqrtqAnswer, WhyNotError> {
-        let res = match &self.view {
-            Some(v) => mqp_view(self.tree(), v, &self.q, self.k, why_not)?,
-            None => mqp(self.tree(), &self.q, self.k, why_not)?,
-        };
+        let res = mqp_view(self.tree(), &self.view, &self.q, self.k, why_not)?;
         Ok(WqrtqAnswer {
             refined: RefinedQuery::QueryPoint {
                 q_prime: res.q_prime,
@@ -269,27 +212,16 @@ impl<T: Borrow<RTree>> Wqrtq<T> {
         sample_size: usize,
         seed: u64,
     ) -> Result<WqrtqAnswer, WhyNotError> {
-        let res = match &self.view {
-            Some(v) => mwk_view(
-                self.tree(),
-                v,
-                &self.q,
-                self.k,
-                why_not,
-                sample_size,
-                &self.tol,
-                seed,
-            )?,
-            None => mwk(
-                self.tree(),
-                &self.q,
-                self.k,
-                why_not,
-                sample_size,
-                &self.tol,
-                seed,
-            )?,
-        };
+        let res = mwk_view(
+            self.tree(),
+            &self.view,
+            &self.q,
+            self.k,
+            why_not,
+            sample_size,
+            &self.tol,
+            seed,
+        )?;
         Ok(WqrtqAnswer {
             refined: RefinedQuery::Preferences {
                 why_not: res.refined,
@@ -301,28 +233,27 @@ impl<T: Borrow<RTree>> Wqrtq<T> {
 
     /// Solution 2, exact variant (2-D data only): enumerates candidate
     /// `k′` values against the exact monochromatic weight intervals
-    /// instead of sampling, returning the *globally optimal* `(Wm′, k′)`.
-    /// `points` must be the flat buffer the tree was built from.
+    /// instead of sampling over the view's live rows, returning the
+    /// *globally optimal* `(Wm′, k′)`.
     ///
     /// # Panics
     /// Panics if the data is not two-dimensional (see
     /// [`crate::exact2d::mwk_exact_2d`]).
     pub fn modify_preferences_exact_2d(
         &self,
-        points: &[f64],
         why_not: &[Weight],
     ) -> Result<WqrtqAnswer, WhyNotError> {
         self.validate_why_not(why_not)?;
-        self.answer_mwk_exact_2d(points, why_not)
+        self.answer_mwk_exact_2d(why_not)
     }
 
     /// Exact 2-D MWK without the why-not validation pass.
     pub(crate) fn answer_mwk_exact_2d(
         &self,
-        points: &[f64],
         why_not: &[Weight],
     ) -> Result<WqrtqAnswer, WhyNotError> {
-        let res = crate::exact2d::mwk_exact_2d(points, &self.q, self.k, why_not, &self.tol);
+        let (live, _) = self.view.materialize_row_major();
+        let res = crate::exact2d::mwk_exact_2d(&live, &self.q, self.k, why_not, &self.tol);
         Ok(WqrtqAnswer {
             refined: RefinedQuery::Preferences {
                 why_not: res.refined,
@@ -352,29 +283,17 @@ impl<T: Borrow<RTree>> Wqrtq<T> {
         query_samples: usize,
         seed: u64,
     ) -> Result<WqrtqAnswer, WhyNotError> {
-        let res = match &self.view {
-            Some(v) => mqwk_view(
-                self.tree(),
-                v,
-                &self.q,
-                self.k,
-                why_not,
-                sample_size,
-                query_samples,
-                &self.tol,
-                seed,
-            )?,
-            None => mqwk(
-                self.tree(),
-                &self.q,
-                self.k,
-                why_not,
-                sample_size,
-                query_samples,
-                &self.tol,
-                seed,
-            )?,
-        };
+        let res = mqwk_view(
+            self.tree(),
+            &self.view,
+            &self.q,
+            self.k,
+            why_not,
+            sample_size,
+            query_samples,
+            &self.tol,
+            seed,
+        )?;
         Ok(WqrtqAnswer {
             refined: RefinedQuery::Everything {
                 q_prime: res.q_prime,
@@ -411,9 +330,17 @@ impl<T: Borrow<RTree>> Wqrtq<T> {
         // the traversal queue allocates once, not per vector.
         let mut scratch = ProbeScratch::new();
         let mut all_in = |ws: &[Weight], q: &[f64], k: usize| {
-            ws.iter().all(|w| match &self.view {
-                Some(v) => is_in_topk_view(self.tree(), v, w, q, k, &mut scratch),
-                None => is_in_topk_scratch(self.tree(), w, q, k, &mut scratch),
+            ws.iter().all(|w| {
+                is_in_topk_view_masked_with_stats(
+                    self.tree(),
+                    &self.view,
+                    None,
+                    w,
+                    q,
+                    k,
+                    &mut scratch,
+                )
+                .0
             })
         };
         match &answer.refined {
@@ -434,22 +361,21 @@ impl<T: Borrow<RTree>> Wqrtq<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::{fig, kevin_julia};
 
     fn fig_tree() -> RTree {
-        let pts = vec![
-            2.0, 1.0, 6.0, 3.0, 1.0, 9.0, 9.0, 3.0, 7.0, 5.0, 5.0, 8.0, 3.0, 7.0,
-        ];
-        RTree::bulk_load(2, &pts)
+        fig().0
     }
 
-    fn kevin_julia() -> Vec<Weight> {
-        vec![Weight::new(vec![0.1, 0.9]), Weight::new(vec![0.9, 0.1])]
+    /// The paper's query `q = (4, 4)`, `k = 3` over Figure 1.
+    fn fig_facade(tree: &RTree) -> Wqrtq<&RTree> {
+        Wqrtq::with_view(tree, fig().1, &[4.0, 4.0], 3).unwrap()
     }
 
     #[test]
     fn validation_accepts_why_not_and_rejects_members() {
         let tree = fig_tree();
-        let w = Wqrtq::new(&tree, &[4.0, 4.0], 3).unwrap();
+        let w = fig_facade(&tree);
         assert_eq!(w.validate_why_not(&kevin_julia()).unwrap(), vec![4, 4]);
         let tony = vec![Weight::new(vec![0.5, 0.5])];
         assert!(matches!(
@@ -465,7 +391,7 @@ mod tests {
     #[test]
     fn all_three_solutions_verify() {
         let tree = fig_tree();
-        let w = Wqrtq::new(&tree, &[4.0, 4.0], 3).unwrap();
+        let w = fig_facade(&tree);
         let wn = kevin_julia();
         for answer in w.all_refinements(&wn, 200, 200, 7).unwrap() {
             assert!(w.verify(&wn, &answer), "unverified answer {answer:?}");
@@ -476,7 +402,7 @@ mod tests {
     #[test]
     fn answers_are_sorted_by_penalty() {
         let tree = fig_tree();
-        let w = Wqrtq::new(&tree, &[4.0, 4.0], 3).unwrap();
+        let w = fig_facade(&tree);
         let answers = w.all_refinements(&kevin_julia(), 200, 200, 3).unwrap();
         assert_eq!(answers.len(), 3);
         assert!(answers.windows(2).all(|p| p[0].penalty <= p[1].penalty));
@@ -489,32 +415,11 @@ mod tests {
     }
 
     #[test]
-    fn population_partition_matches_paper() {
-        let tree = fig_tree();
-        let w = Wqrtq::new(&tree, &[4.0, 4.0], 3).unwrap();
-        let population = vec![
-            Weight::new(vec![0.1, 0.9]), // Kevin
-            Weight::new(vec![0.5, 0.5]), // Tony
-            Weight::new(vec![0.3, 0.7]), // Anna
-            Weight::new(vec![0.9, 0.1]), // Julia
-        ];
-        let (members, missing) = w.partition_population(&population);
-        assert_eq!(members, vec![1, 2]); // Tony, Anna
-        assert_eq!(missing, vec![0, 3]); // Kevin, Julia
-                                         // The missing side is exactly the set of valid why-not inputs.
-        let wn: Vec<Weight> = missing.iter().map(|&i| population[i].clone()).collect();
-        assert!(w.validate_why_not(&wn).is_ok());
-    }
-
-    #[test]
     fn exact_2d_preferences_beat_or_match_sampled() {
-        let pts = vec![
-            2.0, 1.0, 6.0, 3.0, 1.0, 9.0, 9.0, 3.0, 7.0, 5.0, 5.0, 8.0, 3.0, 7.0,
-        ];
-        let tree = RTree::bulk_load(2, &pts);
-        let w = Wqrtq::new(&tree, &[4.0, 4.0], 3).unwrap();
+        let tree = fig_tree();
+        let w = fig_facade(&tree);
         let wn = kevin_julia();
-        let exact = w.modify_preferences_exact_2d(&pts, &wn).unwrap();
+        let exact = w.modify_preferences_exact_2d(&wn).unwrap();
         let sampled = w.modify_preferences(&wn, 400, 3).unwrap();
         assert!(exact.penalty <= sampled.penalty + 1e-9);
         assert!(w.verify(&wn, &exact));
@@ -523,7 +428,7 @@ mod tests {
     #[test]
     fn explanation_reaches_through_facade() {
         let tree = fig_tree();
-        let w = Wqrtq::new(&tree, &[4.0, 4.0], 3).unwrap();
+        let w = fig_facade(&tree);
         let e = w.explain(&Weight::new(vec![0.1, 0.9]), 10);
         assert_eq!(e.rank, 4);
         assert_eq!(e.culprits.len(), 3);
@@ -532,9 +437,7 @@ mod tests {
     #[test]
     fn accessors_and_tolerance_override() {
         let tree = fig_tree();
-        let w = Wqrtq::new(&tree, &[4.0, 4.0], 3)
-            .unwrap()
-            .with_tolerances(Tolerances::new(0.2, 0.8, 0.5, 0.5));
+        let w = fig_facade(&tree).with_tolerances(Tolerances::new(0.2, 0.8, 0.5, 0.5));
         assert_eq!(w.q(), &[4.0, 4.0]);
         assert_eq!(w.k(), 3);
     }
@@ -611,11 +514,16 @@ mod tests {
     }
 
     #[test]
-    fn dimension_mismatch_detected_at_construction() {
-        let tree = fig_tree();
+    fn bad_dimensions_and_zero_k_are_rejected_at_construction() {
+        let (tree, view) = fig();
         assert!(matches!(
-            Wqrtq::new(&tree, &[1.0, 2.0, 3.0], 3),
+            Wqrtq::with_view(&tree, view.clone(), &[1.0, 2.0, 3.0], 3),
             Err(WhyNotError::DimensionMismatch { .. })
+        ));
+        // k = 0 has no top-k-th point for MQP's safe region to build on.
+        assert!(matches!(
+            Wqrtq::with_view(&tree, view, &[4.0, 4.0], 0),
+            Err(WhyNotError::ZeroK)
         ));
     }
 }

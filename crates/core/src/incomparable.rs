@@ -14,7 +14,7 @@
 //! paper's reuse technique (revised `FindIncom`, §4.4).
 
 use wqrtq_geom::{dominates, score, DeltaView, FlatPoints};
-use wqrtq_rtree::{search::DominanceSplit, RTree};
+use wqrtq_rtree::RTree;
 
 /// The classified frontier of a query point: everything needed to rank
 /// that point under arbitrary (positive) weighting vectors without the
@@ -35,49 +35,15 @@ pub struct DominanceFrontier {
 }
 
 impl DominanceFrontier {
-    /// Runs `FindIncom` against the index and captures the result, in
-    /// **canonical (id-ascending) order** — the traversal's own order
-    /// depends on the tree's build parameters, and a frontier that varies
-    /// with fanout would make the MWK sampler's candidate sequence (and
-    /// hence sampled refinements) structure-dependent.
-    pub fn from_tree(tree: &RTree, q: &[f64]) -> Self {
-        let dim = tree.dim();
-        let split = tree.split_by_dominance(q);
-        let sorted = |ids: &[u32], coords: &[f64]| -> Vec<f64> {
-            let mut rows: Vec<(u32, &[f64])> = ids
-                .iter()
-                .zip(coords.chunks_exact(dim))
-                .map(|(&id, row)| (id, row))
-                .collect();
-            rows.sort_by_key(|(id, _)| *id);
-            rows.into_iter().flat_map(|(_, row)| row.to_vec()).collect()
-        };
-        Self::from_parts(
-            dim,
-            q.to_vec(),
-            sorted(&split.dominating_ids, &split.dominating_coords),
-            sorted(&split.incomparable_ids, &split.incomparable_coords),
-        )
-    }
-
-    /// Builds from a pre-computed dominance split.
-    pub fn from_split(dim: usize, q: &[f64], split: &DominanceSplit) -> Self {
-        Self::from_parts(
-            dim,
-            q.to_vec(),
-            split.dominating_coords.clone(),
-            split.incomparable_coords.clone(),
-        )
-    }
-
     /// Runs `FindIncom` over a delta overlay: the base index's pruned
     /// traversal classifies the base rows, tombstoned rows are dropped,
     /// and the appended rows are classified by direct dominance tests
     /// (`O(Δ)`).
     ///
-    /// Both sets are assembled in **canonical (id-ascending) order**, so
-    /// the frontier — and everything seeded from it, like the MWK weight
-    /// sampler's candidate sequence — is identical for any two structures
+    /// Both sets are assembled in **canonical (id-ascending) order** — the
+    /// traversal's own order depends on the tree's build parameters — so
+    /// the frontier, and everything seeded from it, like the MWK weight
+    /// sampler's candidate sequence, is identical for any two structures
     /// holding the same live rows. In particular it matches the frontier
     /// of a dataset rebuilt from [`DeltaView::materialize_row_major`].
     pub fn from_view(tree: &RTree, view: &DeltaView, q: &[f64]) -> Self {
@@ -207,18 +173,13 @@ impl DominanceFrontier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wqrtq_query::rank::rank_of_point;
-
-    fn fig_tree() -> RTree {
-        let pts = vec![
-            2.0, 1.0, 6.0, 3.0, 1.0, 9.0, 9.0, 3.0, 7.0, 5.0, 5.0, 8.0, 3.0, 7.0,
-        ];
-        RTree::bulk_load(2, &pts)
-    }
+    use crate::test_support::{fig, fig_points, indexed, overlay};
+    use wqrtq_query::rank::rank_of_point_view;
 
     #[test]
     fn figure_2a_frontier() {
-        let f = DominanceFrontier::from_tree(&fig_tree(), &[4.0, 4.0]);
+        let (tree, view) = fig();
+        let f = DominanceFrontier::from_view(&tree, &view, &[4.0, 4.0]);
         assert_eq!(f.num_dominating(), 1); // p1
         assert_eq!(f.num_incomparable(), 4); // p2, p3, p4, p7
         assert_eq!(f.rank_range(), (2, 6));
@@ -226,13 +187,13 @@ mod tests {
 
     #[test]
     fn frontier_rank_matches_tree_rank() {
-        let tree = fig_tree();
+        let (tree, view) = fig();
         let q = [4.0, 4.0];
-        let f = DominanceFrontier::from_tree(&tree, &q);
+        let f = DominanceFrontier::from_view(&tree, &view, &q);
         for w in [[0.1, 0.9], [0.3, 0.7], [0.5, 0.5], [0.9, 0.1], [0.25, 0.75]] {
             assert_eq!(
                 f.rank_under(&w),
-                rank_of_point(&tree, &w, &q),
+                rank_of_point_view(&tree, &view, &w, &q),
                 "weight {w:?}"
             );
         }
@@ -240,11 +201,11 @@ mod tests {
 
     #[test]
     fn reclassify_matches_fresh_traversal() {
-        let tree = fig_tree();
-        let base = DominanceFrontier::from_tree(&tree, &[4.0, 4.0]);
+        let (tree, view) = fig();
+        let base = DominanceFrontier::from_view(&tree, &view, &[4.0, 4.0]);
         for q_prime in [[3.5, 3.8], [3.0, 3.0], [4.0, 2.0], [0.5, 0.5], [4.0, 4.0]] {
             let reused = base.reclassify(&q_prime);
-            let fresh = DominanceFrontier::from_tree(&tree, &q_prime);
+            let fresh = DominanceFrontier::from_view(&tree, &view, &q_prime);
             assert_eq!(
                 reused.num_dominating(),
                 fresh.num_dominating(),
@@ -263,8 +224,8 @@ mod tests {
 
     #[test]
     fn rank_range_brackets_every_weight() {
-        let tree = fig_tree();
-        let f = DominanceFrontier::from_tree(&tree, &[4.0, 4.0]);
+        let (tree, view) = fig();
+        let f = DominanceFrontier::from_view(&tree, &view, &[4.0, 4.0]);
         let (lo, hi) = f.rank_range();
         for i in 1..20 {
             let x = i as f64 / 20.0;
@@ -275,21 +236,10 @@ mod tests {
 
     #[test]
     fn view_frontier_matches_rebuilt_canonical_frontier() {
-        use std::sync::Arc;
-        let pts = vec![
-            2.0, 1.0, 6.0, 3.0, 1.0, 9.0, 9.0, 3.0, 7.0, 5.0, 5.0, 8.0, 3.0, 7.0,
-        ];
-        let tree = fig_tree();
-        let view = DeltaView::new(
-            Arc::new(FlatPoints::from_row_major(2, &pts)),
-            Arc::new(vec![4.5, 2.0, 0.5, 0.5]),
-            Arc::new(vec![7, 8]),
-            Arc::new(vec![6.0, 3.0, 7.0, 5.0]),
-            Arc::new(vec![1, 4]),
-        );
+        let (tree, _) = fig();
+        let view = overlay(&fig_points(), &[4.5, 2.0, 0.5, 0.5], &[1, 4]);
         let (live, _) = view.materialize_row_major();
-        let rebuilt = RTree::bulk_load(2, &live);
-        let plain = DeltaView::plain(Arc::new(FlatPoints::from_row_major(2, &live)));
+        let (rebuilt, plain) = indexed(2, &live);
         let q = [4.0, 4.0];
         let got = DominanceFrontier::from_view(&tree, &view, &q);
         let oracle = DominanceFrontier::from_view(&rebuilt, &plain, &q);
@@ -309,8 +259,8 @@ mod tests {
 
     #[test]
     fn moving_query_to_origin_dominates_everything() {
-        let tree = fig_tree();
-        let base = DominanceFrontier::from_tree(&tree, &[4.0, 4.0]);
+        let (tree, view) = fig();
+        let base = DominanceFrontier::from_view(&tree, &view, &[4.0, 4.0]);
         let f = base.reclassify(&[0.0, 0.0]);
         assert_eq!(f.num_dominating(), 0);
         assert_eq!(f.num_incomparable(), 0);

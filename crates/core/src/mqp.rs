@@ -13,7 +13,7 @@ use crate::penalty::query_point_penalty;
 use crate::safe_region::SafeRegion;
 use wqrtq_geom::{DeltaView, Weight};
 use wqrtq_qp::{solve, QpProblem};
-use wqrtq_rtree::{DominanceIndex, RTree};
+use wqrtq_rtree::RTree;
 
 /// Result of the MQP refinement.
 #[derive(Clone, Debug)]
@@ -28,32 +28,14 @@ pub struct MqpResult {
     pub thresholds: Vec<f64>,
 }
 
-/// Runs MQP: returns the minimum-penalty refined query point.
+/// Runs MQP over a delta overlay: returns the minimum-penalty refined
+/// query point. The safe region's constraints come from the merged live
+/// ranking, so the refined point is the one a rebuilt dataset would
+/// produce.
 ///
 /// Assumes non-negative data coordinates (true for all paper datasets),
 /// under which `q′ = 0` is always feasible and the QP can never be
 /// infeasible.
-pub fn mqp(
-    tree: &RTree,
-    q: &[f64],
-    k: usize,
-    why_not: &[Weight],
-) -> Result<MqpResult, WhyNotError> {
-    if q.len() != tree.dim() {
-        return Err(WhyNotError::DimensionMismatch {
-            expected: tree.dim(),
-            got: q.len(),
-        });
-    }
-    // Phase 1: top-k-th point per why-not vector (Algorithm 1, lines 1–12)
-    // — shared with the safe-region constructor.
-    let region = SafeRegion::build(tree, q, k, why_not)?;
-    optimise_over(region, q, why_not)
-}
-
-/// [`mqp`] over a delta overlay: the safe region's constraints come from
-/// the merged live ranking, so the refined point is the one a rebuilt
-/// dataset would produce.
 pub fn mqp_view(
     tree: &RTree,
     view: &DeltaView,
@@ -67,56 +49,10 @@ pub fn mqp_view(
             got: q.len(),
         });
     }
+    // Phase 1: top-k-th point per why-not vector (Algorithm 1, lines 1–12)
+    // — shared with the safe-region constructor.
     let region = SafeRegion::build_view(tree, view, q, k, why_not)?;
-    optimise_over(region, q, why_not)
-}
 
-/// [`mqp`] consulting a [`DominanceIndex`] built from `tree` during the
-/// constraint-finding phase. Bit-identical to [`mqp`]: the safe region's
-/// thresholds survive masking exactly, and the QP sees the same problem.
-pub fn mqp_masked(
-    tree: &RTree,
-    dom: &DominanceIndex,
-    q: &[f64],
-    k: usize,
-    why_not: &[Weight],
-) -> Result<MqpResult, WhyNotError> {
-    if q.len() != tree.dim() {
-        return Err(WhyNotError::DimensionMismatch {
-            expected: tree.dim(),
-            got: q.len(),
-        });
-    }
-    let region = SafeRegion::build_masked(tree, dom, q, k, why_not)?;
-    optimise_over(region, q, why_not)
-}
-
-/// [`mqp_view`] consulting a [`DominanceIndex`] built from the view's
-/// *base* tree; bit-identical to [`mqp_view`].
-pub fn mqp_view_masked(
-    tree: &RTree,
-    view: &DeltaView,
-    dom: &DominanceIndex,
-    q: &[f64],
-    k: usize,
-    why_not: &[Weight],
-) -> Result<MqpResult, WhyNotError> {
-    if q.len() != tree.dim() {
-        return Err(WhyNotError::DimensionMismatch {
-            expected: tree.dim(),
-            got: q.len(),
-        });
-    }
-    let region = SafeRegion::build_view_masked(tree, view, dom, q, k, why_not)?;
-    optimise_over(region, q, why_not)
-}
-
-/// Phase 2 of Algorithm 1: optimise `‖q − q′‖` over a built safe region.
-fn optimise_over(
-    region: SafeRegion,
-    q: &[f64],
-    why_not: &[Weight],
-) -> Result<MqpResult, WhyNotError> {
     // Fast path: q already safe (every vector already admits it).
     if region.contains(q) {
         return Ok(MqpResult {
@@ -168,22 +104,17 @@ fn optimise_over(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wqrtq_query::rank::is_in_topk;
+    use crate::test_support::{fig, indexed, kevin_julia};
+    use wqrtq_query::rank::rank_of_point_view;
 
-    fn fig_tree() -> RTree {
-        let pts = vec![
-            2.0, 1.0, 6.0, 3.0, 1.0, 9.0, 9.0, 3.0, 7.0, 5.0, 5.0, 8.0, 3.0, 7.0,
-        ];
-        RTree::bulk_load(2, &pts)
-    }
-
-    fn kevin_julia() -> Vec<Weight> {
-        vec![Weight::new(vec![0.1, 0.9]), Weight::new(vec![0.9, 0.1])]
+    fn fig_mqp(why_not: &[Weight]) -> MqpResult {
+        let (t, v) = fig();
+        mqp_view(&t, &v, &[4.0, 4.0], 3, why_not).unwrap()
     }
 
     #[test]
     fn paper_example_refinement_is_analytic_optimum() {
-        let res = mqp(&fig_tree(), &[4.0, 4.0], 3, &kevin_julia()).unwrap();
+        let res = fig_mqp(&kevin_julia());
         // Geometric optimum (both constraints active): (3.375, 3.625).
         assert!((res.q_prime[0] - 3.375).abs() < 1e-5, "{:?}", res.q_prime);
         assert!((res.q_prime[1] - 3.625).abs() < 1e-5, "{:?}", res.q_prime);
@@ -194,11 +125,11 @@ mod tests {
 
     #[test]
     fn refined_point_satisfies_reverse_topk_membership() {
-        let tree = fig_tree();
-        let res = mqp(&tree, &[4.0, 4.0], 3, &kevin_julia()).unwrap();
+        let (t, v) = fig();
+        let res = fig_mqp(&kevin_julia());
         for w in kevin_julia() {
             assert!(
-                is_in_topk(&tree, &w, &res.q_prime, 3),
+                rank_of_point_view(&t, &v, &w, &res.q_prime) <= 3,
                 "refined q′ {:?} must be in top-3 of {w:?}",
                 res.q_prime
             );
@@ -209,17 +140,16 @@ mod tests {
     fn mqp_beats_paper_hand_examples() {
         // The optimum must cost no more than the paper's illustrative
         // refinements q′=(3,2.5) (0.318) and q″=(2.5,3.5) (0.279).
-        let res = mqp(&fig_tree(), &[4.0, 4.0], 3, &kevin_julia()).unwrap();
-        assert!(res.penalty < 0.279);
+        assert!(fig_mqp(&kevin_julia()).penalty < 0.279);
     }
 
     #[test]
     fn agrees_with_exact_2d_geometry() {
-        let tree = fig_tree();
+        let (t, v) = fig();
         let wn = kevin_julia();
         let q = [4.0, 4.0];
-        let res = mqp(&tree, &q, 3, &wn).unwrap();
-        let sr = SafeRegion::build(&tree, &q, 3, &wn).unwrap();
+        let res = fig_mqp(&wn);
+        let sr = SafeRegion::build_view(&t, &v, &q, 3, &wn).unwrap();
         let exact = sr.closest_point_2d().unwrap();
         assert!((res.q_prime[0] - exact[0]).abs() < 1e-5);
         assert!((res.q_prime[1] - exact[1]).abs() < 1e-5);
@@ -228,9 +158,8 @@ mod tests {
     #[test]
     fn already_satisfied_query_needs_no_change() {
         // Tony and Anna already contain q: MQP is a no-op with penalty 0.
-        let tree = fig_tree();
         let members = vec![Weight::new(vec![0.5, 0.5]), Weight::new(vec![0.3, 0.7])];
-        let res = mqp(&tree, &[4.0, 4.0], 3, &members).unwrap();
+        let res = fig_mqp(&members);
         assert_eq!(res.q_prime, vec![4.0, 4.0]);
         assert_eq!(res.penalty, 0.0);
         assert_eq!(res.qp_iterations, 0);
@@ -238,10 +167,10 @@ mod tests {
 
     #[test]
     fn single_why_not_vector() {
-        let tree = fig_tree();
+        let (t, v) = fig();
         let kevin = vec![Weight::new(vec![0.1, 0.9])];
-        let res = mqp(&tree, &[4.0, 4.0], 3, &kevin).unwrap();
-        assert!(is_in_topk(&tree, &kevin[0], &res.q_prime, 3));
+        let res = fig_mqp(&kevin);
+        assert!(rank_of_point_view(&t, &v, &kevin[0], &res.q_prime) <= 3);
         // Only Kevin's constraint binds: q′ should sit on H(w1, p4).
         let s = 0.1 * res.q_prime[0] + 0.9 * res.q_prime[1];
         assert!(s <= 3.6 + 1e-6, "score {s}");
@@ -249,13 +178,13 @@ mod tests {
 
     #[test]
     fn errors_propagate() {
-        let tree = fig_tree();
+        let (t, v) = fig();
         assert!(matches!(
-            mqp(&tree, &[4.0, 4.0], 3, &[]),
+            mqp_view(&t, &v, &[4.0, 4.0], 3, &[]),
             Err(WhyNotError::EmptyWhyNot)
         ));
         assert!(matches!(
-            mqp(&tree, &[4.0], 3, &kevin_julia()),
+            mqp_view(&t, &v, &[4.0], 3, &kevin_julia()),
             Err(WhyNotError::DimensionMismatch { .. })
         ));
     }
@@ -271,15 +200,15 @@ mod tests {
                 }
             }
         }
-        let tree = RTree::bulk_load(3, &pts);
+        let (t, v) = indexed(3, &pts);
         let q = [5.0, 5.0, 5.0];
         let wn = vec![
             Weight::new(vec![0.2, 0.3, 0.5]),
             Weight::new(vec![0.6, 0.2, 0.2]),
         ];
-        let res = mqp(&tree, &q, 5, &wn).unwrap();
+        let res = mqp_view(&t, &v, &q, 5, &wn).unwrap();
         for w in &wn {
-            assert!(is_in_topk(&tree, w, &res.q_prime, 5));
+            assert!(rank_of_point_view(&t, &v, w, &res.q_prime) <= 5);
         }
         assert!(res.penalty > 0.0 && res.penalty <= 1.0);
     }

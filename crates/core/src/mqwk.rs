@@ -19,7 +19,7 @@
 
 use crate::error::WhyNotError;
 use crate::incomparable::DominanceFrontier;
-use crate::mqp::{mqp, mqp_view, MqpResult};
+use crate::mqp::mqp_view;
 use crate::mwk::mwk_with_frontier;
 use crate::penalty::{query_point_penalty, Tolerances};
 use crate::sampling::sample_query_points;
@@ -54,40 +54,12 @@ pub struct MqwkResult {
     pub source: RefinementSource,
 }
 
-/// Runs MQWK. `sample_size` is `|S|` (weights per MWK call) and
-/// `query_samples` is `|Q|`; the paper's experiments keep them equal.
-#[allow(clippy::too_many_arguments)] // mirrors Algorithm 3's input list
-pub fn mqwk(
-    tree: &RTree,
-    q: &[f64],
-    k: usize,
-    why_not: &[Weight],
-    sample_size: usize,
-    query_samples: usize,
-    tol: &Tolerances,
-    seed: u64,
-) -> Result<MqwkResult, WhyNotError> {
-    // Line 2: qmin via MQP (also validates inputs).
-    let mqp_res = mqp(tree, q, k, why_not)?;
-    // Reuse base: one FindIncom traversal at the original q (§4.4).
-    let base = DominanceFrontier::from_tree(tree, q);
-    Ok(search_candidates(
-        mqp_res,
-        &base,
-        q,
-        k,
-        why_not,
-        sample_size,
-        query_samples,
-        tol,
-        seed,
-    ))
-}
-
-/// [`mqwk`] over a delta overlay: MQP constraints and the reuse frontier
-/// both come from the live rows (canonical order), so every candidate
-/// tuple — and hence the winner — matches a rebuilt dataset.
-#[allow(clippy::too_many_arguments)] // mirrors Algorithm 3's input list
+/// Runs MQWK over a delta overlay. `sample_size` is `|S|` (weights per
+/// MWK call) and `query_samples` is `|Q|`; the paper's experiments keep
+/// them equal. MQP constraints and the reuse frontier both come from the
+/// live rows (canonical order), so every candidate tuple — and hence the
+/// winner — matches a rebuilt dataset.
+#[allow(clippy::too_many_arguments)] // mirrors Algorithm 3's input list + view
 pub fn mqwk_view(
     tree: &RTree,
     view: &DeltaView,
@@ -99,36 +71,10 @@ pub fn mqwk_view(
     tol: &Tolerances,
     seed: u64,
 ) -> Result<MqwkResult, WhyNotError> {
+    // Line 2: qmin via MQP (also validates inputs).
     let mqp_res = mqp_view(tree, view, q, k, why_not)?;
+    // Reuse base: one FindIncom traversal at the original q (§4.4).
     let base = DominanceFrontier::from_view(tree, view, q);
-    Ok(search_candidates(
-        mqp_res,
-        &base,
-        q,
-        k,
-        why_not,
-        sample_size,
-        query_samples,
-        tol,
-        seed,
-    ))
-}
-
-/// Lines 3–9 of Algorithm 3 over a pre-computed `qmin` and reuse
-/// frontier: evaluate both endpoints plus `|Q|` sampled interior query
-/// points and keep the minimum-penalty tuple.
-#[allow(clippy::too_many_arguments)]
-fn search_candidates(
-    mqp_res: MqpResult,
-    base: &DominanceFrontier,
-    q: &[f64],
-    k: usize,
-    why_not: &[Weight],
-    sample_size: usize,
-    query_samples: usize,
-    tol: &Tolerances,
-    seed: u64,
-) -> MqwkResult {
     let qmin = &mqp_res.q_prime;
 
     // Endpoint candidate 1: move the query all the way to qmin, keep
@@ -143,7 +89,7 @@ fn search_candidates(
     };
 
     // Endpoint candidate 2: keep q, run plain MWK — penalty λ·Eq.(4).
-    let mwk_res = mwk_with_frontier(base, k, why_not, sample_size, tol, seed);
+    let mwk_res = mwk_with_frontier(&base, k, why_not, sample_size, tol, seed);
     let pen = tol.lambda * mwk_res.penalty;
     if pen < best.penalty {
         best.q_prime = q.to_vec();
@@ -175,29 +121,35 @@ fn search_candidates(
             best.source = RefinementSource::Sampled;
         }
     }
-    best
+    Ok(best)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mwk::mwk;
-    use wqrtq_query::rank::rank_of_point;
+    use crate::mwk::mwk_view;
+    use crate::test_support::{fig, kevin_julia};
+    use wqrtq_query::rank::rank_of_point_view;
 
-    fn fig_tree() -> RTree {
-        let pts = vec![
-            2.0, 1.0, 6.0, 3.0, 1.0, 9.0, 9.0, 3.0, 7.0, 5.0, 5.0, 8.0, 3.0, 7.0,
-        ];
-        RTree::bulk_load(2, &pts)
+    /// MQWK on the paper's Figure 1 dataset.
+    #[allow(clippy::too_many_arguments)]
+    fn mqwk(
+        q: &[f64],
+        k: usize,
+        why_not: &[Weight],
+        sample_size: usize,
+        query_samples: usize,
+        tol: &Tolerances,
+        seed: u64,
+    ) -> Result<MqwkResult, WhyNotError> {
+        let (t, v) = fig();
+        mqwk_view(&t, &v, q, k, why_not, sample_size, query_samples, tol, seed)
     }
 
-    fn kevin_julia() -> Vec<Weight> {
-        vec![Weight::new(vec![0.1, 0.9]), Weight::new(vec![0.9, 0.1])]
-    }
-
-    fn verify(tree: &RTree, res: &MqwkResult) {
+    fn verify(res: &MqwkResult) {
+        let (tree, view) = fig();
         for w in &res.refined {
-            let r = rank_of_point(tree, w, &res.q_prime);
+            let r = rank_of_point_view(&tree, &view, w, &res.q_prime);
             assert!(
                 r <= res.k_prime,
                 "refined vector {w:?} ranks {r} > k′ = {} at q′ {:?}",
@@ -209,9 +161,7 @@ mod tests {
 
     #[test]
     fn refined_tuple_is_valid_on_paper_example() {
-        let tree = fig_tree();
         let res = mqwk(
-            &tree,
             &[4.0, 4.0],
             3,
             &kevin_julia(),
@@ -221,20 +171,20 @@ mod tests {
             17,
         )
         .unwrap();
-        verify(&tree, &res);
+        verify(&res);
         assert!(res.penalty > 0.0 && res.penalty < 1.0);
         assert_eq!(res.candidates_evaluated, 202);
     }
 
     #[test]
     fn never_worse_than_either_specialised_solution() {
-        let tree = fig_tree();
         let tol = Tolerances::paper_default();
         let q = [4.0, 4.0];
         let wn = kevin_julia();
-        let res = mqwk(&tree, &q, 3, &wn, 200, 200, &tol, 5).unwrap();
-        let mqp_pen = tol.gamma * mqp(&tree, &q, 3, &wn).unwrap().penalty;
-        let mwk_pen = tol.lambda * mwk(&tree, &q, 3, &wn, 200, &tol, 5).unwrap().penalty;
+        let res = mqwk(&q, 3, &wn, 200, 200, &tol, 5).unwrap();
+        let (t, v) = fig();
+        let mqp_pen = tol.gamma * mqp_view(&t, &v, &q, 3, &wn).unwrap().penalty;
+        let mwk_pen = tol.lambda * mwk_view(&t, &v, &q, 3, &wn, 200, &tol, 5).unwrap().penalty;
         assert!(res.penalty <= mqp_pen + 1e-12);
         assert!(res.penalty <= mwk_pen + 1e-12);
     }
@@ -243,9 +193,7 @@ mod tests {
     fn beats_paper_hand_example_penalty() {
         // §4.4's illustrative tuple (q′=(3.8,3.8), …) costs ≈ 0.06;
         // the optimised answer must not be worse.
-        let tree = fig_tree();
         let res = mqwk(
-            &tree,
             &[4.0, 4.0],
             3,
             &kevin_julia(),
@@ -256,19 +204,18 @@ mod tests {
         )
         .unwrap();
         assert!(res.penalty <= 0.065, "penalty {}", res.penalty);
-        verify(&tree, &res);
+        verify(&res);
     }
 
     #[test]
     fn zero_query_samples_degenerates_to_best_endpoint() {
-        let tree = fig_tree();
         let tol = Tolerances::paper_default();
-        let res = mqwk(&tree, &[4.0, 4.0], 3, &kevin_julia(), 100, 0, &tol, 3).unwrap();
+        let res = mqwk(&[4.0, 4.0], 3, &kevin_julia(), 100, 0, &tol, 3).unwrap();
         assert!(matches!(
             res.source,
             RefinementSource::QueryEndpoint | RefinementSource::PreferenceEndpoint
         ));
-        verify(&tree, &res);
+        verify(&res);
     }
 
     #[test]
@@ -277,13 +224,12 @@ mod tests {
         // the weight OF the Δq term, so γ = 0.9 penalises query movement
         // and pushes the answer toward preference changes, and vice
         // versa.
-        let tree = fig_tree();
         let q = [4.0, 4.0];
         let wn = kevin_julia();
         let heavy_q = Tolerances::new(0.5, 0.5, 0.95, 0.05);
         let light_q = Tolerances::new(0.5, 0.5, 0.05, 0.95);
-        let a = mqwk(&tree, &q, 3, &wn, 200, 200, &heavy_q, 1).unwrap();
-        let b = mqwk(&tree, &q, 3, &wn, 200, 200, &light_q, 1).unwrap();
+        let a = mqwk(&q, 3, &wn, 200, 200, &heavy_q, 1).unwrap();
+        let b = mqwk(&q, 3, &wn, 200, 200, &light_q, 1).unwrap();
         let moved_a = wqrtq_geom::l2_dist(&q, &a.q_prime);
         let moved_b = wqrtq_geom::l2_dist(&q, &b.q_prime);
         assert!(
@@ -294,20 +240,18 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let tree = fig_tree();
         let tol = Tolerances::paper_default();
-        let a = mqwk(&tree, &[4.0, 4.0], 3, &kevin_julia(), 150, 150, &tol, 99).unwrap();
-        let b = mqwk(&tree, &[4.0, 4.0], 3, &kevin_julia(), 150, 150, &tol, 99).unwrap();
+        let a = mqwk(&[4.0, 4.0], 3, &kevin_julia(), 150, 150, &tol, 99).unwrap();
+        let b = mqwk(&[4.0, 4.0], 3, &kevin_julia(), 150, 150, &tol, 99).unwrap();
         assert_eq!(a.penalty, b.penalty);
         assert_eq!(a.q_prime, b.q_prime);
     }
 
     #[test]
     fn errors_propagate_from_mqp() {
-        let tree = fig_tree();
         let tol = Tolerances::paper_default();
         assert!(matches!(
-            mqwk(&tree, &[4.0, 4.0], 3, &[], 10, 10, &tol, 1),
+            mqwk(&[4.0, 4.0], 3, &[], 10, 10, &tol, 1),
             Err(WhyNotError::EmptyWhyNot)
         ));
     }

@@ -48,45 +48,7 @@ pub struct MwkResult {
     pub candidates_examined: usize,
 }
 
-/// Runs MWK against an indexed dataset.
-pub fn mwk(
-    tree: &RTree,
-    q: &[f64],
-    k: usize,
-    why_not: &[Weight],
-    sample_size: usize,
-    tol: &Tolerances,
-    seed: u64,
-) -> Result<MwkResult, WhyNotError> {
-    if why_not.is_empty() {
-        return Err(WhyNotError::EmptyWhyNot);
-    }
-    if q.len() != tree.dim() {
-        return Err(WhyNotError::DimensionMismatch {
-            expected: tree.dim(),
-            got: q.len(),
-        });
-    }
-    for w in why_not {
-        if w.dim() != tree.dim() {
-            return Err(WhyNotError::DimensionMismatch {
-                expected: tree.dim(),
-                got: w.dim(),
-            });
-        }
-    }
-    let frontier = DominanceFrontier::from_tree(tree, q);
-    Ok(mwk_with_frontier(
-        &frontier,
-        k,
-        why_not,
-        sample_size,
-        tol,
-        seed,
-    ))
-}
-
-/// [`mwk`] over a delta overlay: the dominance frontier classifies the
+/// Runs MWK over a delta overlay: the dominance frontier classifies the
 /// live rows (canonical order), so samples, ranks and the returned
 /// refinement match a dataset rebuilt from scratch.
 #[allow(clippy::too_many_arguments)] // mirrors Algorithm 2's input list + view
@@ -232,22 +194,26 @@ pub fn mwk_with_frontier(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wqrtq_query::rank::rank_of_point;
+    use crate::test_support::{fig, kevin_julia};
+    use wqrtq_query::rank::rank_of_point_view;
 
-    fn fig_tree() -> RTree {
-        let pts = vec![
-            2.0, 1.0, 6.0, 3.0, 1.0, 9.0, 9.0, 3.0, 7.0, 5.0, 5.0, 8.0, 3.0, 7.0,
-        ];
-        RTree::bulk_load(2, &pts)
+    /// MWK on the paper's Figure 1 dataset.
+    fn mwk(
+        q: &[f64],
+        k: usize,
+        why_not: &[Weight],
+        sample_size: usize,
+        tol: &Tolerances,
+        seed: u64,
+    ) -> Result<MwkResult, WhyNotError> {
+        let (t, v) = fig();
+        mwk_view(&t, &v, q, k, why_not, sample_size, tol, seed)
     }
 
-    fn kevin_julia() -> Vec<Weight> {
-        vec![Weight::new(vec![0.1, 0.9]), Weight::new(vec![0.9, 0.1])]
-    }
-
-    fn verify(tree: &RTree, q: &[f64], res: &MwkResult) {
+    fn verify(q: &[f64], res: &MwkResult) {
+        let (tree, view) = fig();
         for w in &res.refined {
-            let r = rank_of_point(tree, w, q);
+            let r = rank_of_point_view(&tree, &view, w, q);
             assert!(
                 r <= res.k_prime,
                 "refined vector {w:?} ranks {r} > k′ = {}",
@@ -258,9 +224,7 @@ mod tests {
 
     #[test]
     fn paper_example_ranks_and_kmax() {
-        let tree = fig_tree();
         let res = mwk(
-            &tree,
             &[4.0, 4.0],
             3,
             &kevin_julia(),
@@ -272,7 +236,7 @@ mod tests {
         // §4.3: ranks of q under w1 and w4 are both 4 → k′max = 4.
         assert_eq!(res.actual_ranks, vec![4, 4]);
         assert_eq!(res.k_max, 4);
-        verify(&tree, &[4.0, 4.0], &res);
+        verify(&[4.0, 4.0], &res);
     }
 
     #[test]
@@ -280,9 +244,7 @@ mod tests {
         // The paper's §4.3 example: modifying the vectors beats modifying
         // k alone (penalty 0.5); the best refinement costs ≈ 0.108 with
         // the exact tie weights (1/6, 5/6) and (3/4, 1/4).
-        let tree = fig_tree();
         let res = mwk(
-            &tree,
             &[4.0, 4.0],
             3,
             &kevin_julia(),
@@ -293,7 +255,7 @@ mod tests {
         .unwrap();
         assert!(res.penalty < 0.5, "penalty {}", res.penalty);
         assert!(res.penalty < 0.15, "penalty {}", res.penalty);
-        verify(&tree, &[4.0, 4.0], &res);
+        verify(&[4.0, 4.0], &res);
     }
 
     #[test]
@@ -302,9 +264,7 @@ mod tests {
         // samples MWK finds the analytically optimal refinement:
         // Kevin → (1/6, 5/6) (Δ = 0.0667·√2), Julia → (3/4, 1/4)
         // (Δ = 0.15·√2), k unchanged.
-        let tree = fig_tree();
         let res = mwk(
-            &tree,
             &[4.0, 4.0],
             3,
             &kevin_julia(),
@@ -321,16 +281,14 @@ mod tests {
             res.penalty
         );
         assert_eq!(res.k_prime, 3);
-        verify(&tree, &[4.0, 4.0], &res);
+        verify(&[4.0, 4.0], &res);
     }
 
     #[test]
     fn zero_samples_still_returns_valid_answer() {
         // With no samples the pool holds only the originals: the answer
         // degenerates to the paper's line-11 candidate (Wm, k′max).
-        let tree = fig_tree();
         let res = mwk(
-            &tree,
             &[4.0, 4.0],
             3,
             &kevin_julia(),
@@ -342,7 +300,7 @@ mod tests {
         assert_eq!(res.k_prime, 4);
         assert_eq!(res.refined[0].as_slice(), kevin_julia()[0].as_slice());
         assert!((res.penalty - 0.5).abs() < 1e-12);
-        verify(&tree, &[4.0, 4.0], &res);
+        verify(&[4.0, 4.0], &res);
     }
 
     #[test]
@@ -350,12 +308,11 @@ mod tests {
         // Larger |S| supersets the candidate space statistically; penalty
         // trends down (paper Fig. 12). Check monotone-ish behaviour on a
         // fixed ladder of seeds.
-        let tree = fig_tree();
         let tol = Tolerances::paper_default();
-        let p100 = mwk(&tree, &[4.0, 4.0], 3, &kevin_julia(), 100, &tol, 5)
+        let p100 = mwk(&[4.0, 4.0], 3, &kevin_julia(), 100, &tol, 5)
             .unwrap()
             .penalty;
-        let p1600 = mwk(&tree, &[4.0, 4.0], 3, &kevin_julia(), 1600, &tol, 5)
+        let p1600 = mwk(&[4.0, 4.0], 3, &kevin_julia(), 1600, &tol, 5)
             .unwrap()
             .penalty;
         assert!(p1600 <= p100 + 1e-9, "p100 = {p100}, p1600 = {p1600}");
@@ -365,10 +322,8 @@ mod tests {
     fn not_why_not_vectors_cost_nothing() {
         // Tony and Anna are already in the result: MWK must return the
         // identity refinement with zero penalty.
-        let tree = fig_tree();
         let members = vec![Weight::new(vec![0.5, 0.5]), Weight::new(vec![0.3, 0.7])];
         let res = mwk(
-            &tree,
             &[4.0, 4.0],
             3,
             &members,
@@ -385,19 +340,9 @@ mod tests {
     fn mixed_member_and_why_not_set() {
         // Kevin (why-not) + Tony (member): the optimal answer keeps Tony
         // untouched.
-        let tree = fig_tree();
         let mixed = vec![Weight::new(vec![0.1, 0.9]), Weight::new(vec![0.5, 0.5])];
-        let res = mwk(
-            &tree,
-            &[4.0, 4.0],
-            3,
-            &mixed,
-            400,
-            &Tolerances::paper_default(),
-            9,
-        )
-        .unwrap();
-        verify(&tree, &[4.0, 4.0], &res);
+        let res = mwk(&[4.0, 4.0], 3, &mixed, 400, &Tolerances::paper_default(), 9).unwrap();
+        verify(&[4.0, 4.0], &res);
         assert_eq!(
             res.refined[1].as_slice(),
             mixed[1].as_slice(),
@@ -407,24 +352,22 @@ mod tests {
 
     #[test]
     fn errors_for_bad_inputs() {
-        let tree = fig_tree();
         let tol = Tolerances::paper_default();
         assert!(matches!(
-            mwk(&tree, &[4.0, 4.0], 3, &[], 10, &tol, 1),
+            mwk(&[4.0, 4.0], 3, &[], 10, &tol, 1),
             Err(WhyNotError::EmptyWhyNot)
         ));
         assert!(matches!(
-            mwk(&tree, &[4.0], 3, &kevin_julia(), 10, &tol, 1),
+            mwk(&[4.0], 3, &kevin_julia(), 10, &tol, 1),
             Err(WhyNotError::DimensionMismatch { .. })
         ));
     }
 
     #[test]
     fn deterministic_per_seed() {
-        let tree = fig_tree();
         let tol = Tolerances::paper_default();
-        let a = mwk(&tree, &[4.0, 4.0], 3, &kevin_julia(), 300, &tol, 21).unwrap();
-        let b = mwk(&tree, &[4.0, 4.0], 3, &kevin_julia(), 300, &tol, 21).unwrap();
+        let a = mwk(&[4.0, 4.0], 3, &kevin_julia(), 300, &tol, 21).unwrap();
+        let b = mwk(&[4.0, 4.0], 3, &kevin_julia(), 300, &tol, 21).unwrap();
         assert_eq!(a.penalty, b.penalty);
         assert_eq!(a.k_prime, b.k_prime);
     }

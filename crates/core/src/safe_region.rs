@@ -14,10 +14,8 @@
 
 use crate::error::WhyNotError;
 use wqrtq_geom::{DeltaView, HalfSpace, Polygon2d, Weight};
-use wqrtq_query::topk::{
-    kth_point, kth_point_masked, kth_point_view, kth_point_view_masked, KthPoint,
-};
-use wqrtq_rtree::{DominanceIndex, RTree};
+use wqrtq_query::topk::kth_point_view;
+use wqrtq_rtree::RTree;
 
 /// The safe region of a query point for a why-not set.
 #[derive(Clone, Debug)]
@@ -30,22 +28,9 @@ pub struct SafeRegion {
 
 impl SafeRegion {
     /// Builds the safe region from the top-k-th points of every why-not
-    /// vector (Lemma 3).
-    pub fn build(
-        tree: &RTree,
-        q: &[f64],
-        k: usize,
-        why_not: &[Weight],
-    ) -> Result<Self, WhyNotError> {
-        Self::build_with(tree.dim(), tree.len(), q, k, why_not, |w| {
-            kth_point(tree, w, k)
-        })
-    }
-
-    /// [`SafeRegion::build`] over a delta overlay: each why-not vector's
-    /// top-k-th point comes from the merged live ranking, so the
-    /// constraint planes are those of a dataset rebuilt from the live
-    /// rows.
+    /// vector (Lemma 3) over a delta overlay: each top-k-th point comes
+    /// from the merged live ranking, so the constraint planes are those
+    /// of a dataset rebuilt from the live rows.
     pub fn build_view(
         tree: &RTree,
         view: &DeltaView,
@@ -53,54 +38,7 @@ impl SafeRegion {
         k: usize,
         why_not: &[Weight],
     ) -> Result<Self, WhyNotError> {
-        Self::build_with(tree.dim(), view.live_len(), q, k, why_not, |w| {
-            kth_point_view(tree, view, w, k)
-        })
-    }
-
-    /// [`SafeRegion::build`] consulting a [`DominanceIndex`] built from
-    /// `tree`: each why-not vector's top-k-th point comes from the masked
-    /// best-first traversal. The constraint planes and thresholds are
-    /// bit-identical to the unmasked build — every consumer depends only
-    /// on the k-th *score* (`HalfSpace::below_score_plane`'s offset is
-    /// `f(w, p)`), which masking preserves exactly.
-    pub fn build_masked(
-        tree: &RTree,
-        dom: &DominanceIndex,
-        q: &[f64],
-        k: usize,
-        why_not: &[Weight],
-    ) -> Result<Self, WhyNotError> {
-        Self::build_with(tree.dim(), tree.len(), q, k, why_not, |w| {
-            kth_point_masked(tree, dom, w, k)
-        })
-    }
-
-    /// [`SafeRegion::build_view`] consulting a [`DominanceIndex`] built
-    /// from the view's *base* tree; same bit-identical guarantee as
-    /// [`SafeRegion::build_masked`], with the exclusion threshold
-    /// inflated by the view's tombstone count.
-    pub fn build_view_masked(
-        tree: &RTree,
-        view: &DeltaView,
-        dom: &DominanceIndex,
-        q: &[f64],
-        k: usize,
-        why_not: &[Weight],
-    ) -> Result<Self, WhyNotError> {
-        Self::build_with(tree.dim(), view.live_len(), q, k, why_not, |w| {
-            kth_point_view_masked(tree, view, dom, w, k)
-        })
-    }
-
-    fn build_with(
-        dim: usize,
-        len: usize,
-        q: &[f64],
-        k: usize,
-        why_not: &[Weight],
-        mut kth: impl FnMut(&[f64]) -> Option<KthPoint>,
-    ) -> Result<Self, WhyNotError> {
+        let dim = tree.dim();
         if why_not.is_empty() {
             return Err(WhyNotError::EmptyWhyNot);
         }
@@ -115,7 +53,10 @@ impl SafeRegion {
         let mut constraints = Vec::with_capacity(why_not.len());
         let mut thresholds = Vec::with_capacity(why_not.len());
         for w in why_not {
-            let p = kth(w.as_slice()).ok_or(WhyNotError::DatasetSmallerThanK { len, k })?;
+            let p = kth_point_view(tree, view, w, k).ok_or(WhyNotError::DatasetSmallerThanK {
+                len: view.live_len(),
+                k,
+            })?;
             thresholds.push(p.score);
             constraints.push(HalfSpace::below_score_plane(w, &p.coords));
         }
@@ -174,22 +115,17 @@ impl SafeRegion {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::{fig, kevin_julia};
 
-    fn fig_tree() -> RTree {
-        let pts = vec![
-            2.0, 1.0, 6.0, 3.0, 1.0, 9.0, 9.0, 3.0, 7.0, 5.0, 5.0, 8.0, 3.0, 7.0,
-        ];
-        RTree::bulk_load(2, &pts)
-    }
-
-    fn kevin_julia() -> Vec<Weight> {
-        vec![Weight::new(vec![0.1, 0.9]), Weight::new(vec![0.9, 0.1])]
+    fn fig_region(k: usize) -> SafeRegion {
+        let (t, v) = fig();
+        SafeRegion::build_view(&t, &v, &[4.0, 4.0], k, &kevin_julia()).unwrap()
     }
 
     #[test]
     fn figure_5b_region_structure() {
         // Kevin's top 3rd point is p4 (score 3.6); Julia's is p7 (3.4).
-        let sr = SafeRegion::build(&fig_tree(), &[4.0, 4.0], 3, &kevin_julia()).unwrap();
+        let sr = fig_region(3);
         assert_eq!(sr.constraints().len(), 2);
         assert!((sr.thresholds()[0] - 3.6).abs() < 1e-12);
         assert!((sr.thresholds()[1] - 3.4).abs() < 1e-12);
@@ -203,13 +139,12 @@ mod tests {
 
     #[test]
     fn origin_is_always_safe_for_nonnegative_data() {
-        let sr = SafeRegion::build(&fig_tree(), &[4.0, 4.0], 3, &kevin_julia()).unwrap();
-        assert!(sr.contains(&[0.0, 0.0]));
+        assert!(fig_region(3).contains(&[0.0, 0.0]));
     }
 
     #[test]
     fn exact_polygon_agrees_with_contains() {
-        let sr = SafeRegion::build(&fig_tree(), &[4.0, 4.0], 3, &kevin_julia()).unwrap();
+        let sr = fig_region(3);
         let poly = sr.exact_polygon_2d();
         assert!(!poly.is_empty());
         for v in poly.vertices() {
@@ -220,8 +155,7 @@ mod tests {
     #[test]
     fn closest_point_is_the_analytic_optimum() {
         // Both constraints active: q′ = (3.375, 3.625) (see wqrtq-qp tests).
-        let sr = SafeRegion::build(&fig_tree(), &[4.0, 4.0], 3, &kevin_julia()).unwrap();
-        let c = sr.closest_point_2d().unwrap();
+        let c = fig_region(3).closest_point_2d().unwrap();
         assert!((c[0] - 3.375).abs() < 1e-9, "{c:?}");
         assert!((c[1] - 3.625).abs() < 1e-9, "{c:?}");
     }
@@ -230,68 +164,25 @@ mod tests {
     fn smaller_k_shrinks_the_region() {
         // Lemma 3 discussion: SR′(q) built from top-(k−1)-th points is a
         // subset of SR(q).
-        let tree = fig_tree();
-        let sr3 = SafeRegion::build(&tree, &[4.0, 4.0], 3, &kevin_julia()).unwrap();
-        let sr2 = SafeRegion::build(&tree, &[4.0, 4.0], 2, &kevin_julia()).unwrap();
-        let a3 = sr3.exact_polygon_2d().area();
-        let a2 = sr2.exact_polygon_2d().area();
+        let a3 = fig_region(3).exact_polygon_2d().area();
+        let a2 = fig_region(2).exact_polygon_2d().area();
         assert!(a2 < a3, "area(k=2) = {a2} should be < area(k=3) = {a3}");
     }
 
     #[test]
-    fn masked_build_is_bit_identical_even_with_ties() {
-        use std::sync::Arc;
-        use wqrtq_geom::FlatPoints;
-        // Duplicate every paper point: exact score ties everywhere, and
-        // each duplicate pair dominates nothing of the other — the masked
-        // kth may pick the other twin, but the constraint planes depend
-        // only on the (identical) score.
-        let mut pts = vec![
-            2.0, 1.0, 6.0, 3.0, 1.0, 9.0, 9.0, 3.0, 7.0, 5.0, 5.0, 8.0, 3.0, 7.0,
-        ];
-        let dup = pts.clone();
-        pts.extend(&dup);
-        let tree = RTree::bulk_load_with_fanout(2, &pts, 4);
-        let dom = DominanceIndex::build(&tree);
-        let q = [4.0, 4.0];
-        for k in 1..=pts.len() / 2 {
-            let exact = SafeRegion::build(&tree, &q, k, &kevin_julia()).unwrap();
-            let masked = SafeRegion::build_masked(&tree, &dom, &q, k, &kevin_julia()).unwrap();
-            assert_eq!(exact.thresholds(), masked.thresholds(), "k {k}");
-            assert_eq!(exact.constraints(), masked.constraints(), "k {k}");
-        }
-
-        // Same over a mutated view (tombstone two rows, append two).
-        let view = DeltaView::new(
-            Arc::new(FlatPoints::from_row_major(2, &pts)),
-            Arc::new(vec![4.5, 2.0, 0.5, 0.5]),
-            Arc::new(vec![pts.len() as u32 / 2, pts.len() as u32 / 2 + 1]),
-            Arc::new(vec![6.0, 3.0, 7.0, 5.0]),
-            Arc::new(vec![1, 4]),
-        );
-        for k in 1..=view.live_len() {
-            let exact = SafeRegion::build_view(&tree, &view, &q, k, &kevin_julia()).unwrap();
-            let masked =
-                SafeRegion::build_view_masked(&tree, &view, &dom, &q, k, &kevin_julia()).unwrap();
-            assert_eq!(exact.thresholds(), masked.thresholds(), "view k {k}");
-            assert_eq!(exact.constraints(), masked.constraints(), "view k {k}");
-        }
-        assert!(dom.skips() > 0, "the tie-dense build should skip points");
-    }
-
-    #[test]
     fn errors_for_bad_inputs() {
-        let tree = fig_tree();
+        let (t, v) = fig();
+        let q = [4.0, 4.0];
         assert!(matches!(
-            SafeRegion::build(&tree, &[4.0, 4.0], 3, &[]),
+            SafeRegion::build_view(&t, &v, &q, 3, &[]),
             Err(WhyNotError::EmptyWhyNot)
         ));
         assert!(matches!(
-            SafeRegion::build(&tree, &[4.0, 4.0], 3, &[Weight::new(vec![1.0])]),
+            SafeRegion::build_view(&t, &v, &q, 3, &[Weight::new(vec![1.0])]),
             Err(WhyNotError::DimensionMismatch { .. })
         ));
         assert!(matches!(
-            SafeRegion::build(&tree, &[4.0, 4.0], 99, &kevin_julia()),
+            SafeRegion::build_view(&t, &v, &q, 99, &kevin_julia()),
             Err(WhyNotError::DatasetSmallerThanK { .. })
         ));
     }

@@ -297,19 +297,17 @@ pub fn sample_query_points(qmin: &[f64], q: &[f64], n: usize, seed: u64) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::{fig_points, indexed, kevin_julia};
     use wqrtq_geom::score;
-    use wqrtq_rtree::RTree;
 
-    fn fig_frontier() -> DominanceFrontier {
-        let pts = vec![
-            2.0, 1.0, 6.0, 3.0, 1.0, 9.0, 9.0, 3.0, 7.0, 5.0, 5.0, 8.0, 3.0, 7.0,
-        ];
-        let tree = RTree::bulk_load(2, &pts);
-        DominanceFrontier::from_tree(&tree, &[4.0, 4.0])
+    /// The dominance frontier of `q` over the row-major `pts`.
+    fn frontier(dim: usize, pts: &[f64], q: &[f64]) -> DominanceFrontier {
+        let (tree, view) = indexed(dim, pts);
+        DominanceFrontier::from_view(&tree, &view, q)
     }
 
-    fn kevin_julia() -> Vec<Weight> {
-        vec![Weight::new(vec![0.1, 0.9]), Weight::new(vec![0.9, 0.1])]
+    fn fig_frontier() -> DominanceFrontier {
+        frontier(2, &fig_points(), &[4.0, 4.0])
     }
 
     #[test]
@@ -376,8 +374,7 @@ mod tests {
     #[test]
     fn empty_frontier_yields_no_samples() {
         let pts = vec![0.1, 0.1, 0.2, 0.2]; // both points dominate q: I = ∅
-        let tree = RTree::bulk_load(2, &pts);
-        let f = DominanceFrontier::from_tree(&tree, &[5.0, 5.0]);
+        let f = frontier(2, &pts, &[5.0, 5.0]);
         assert_eq!(f.num_incomparable(), 0);
         let mut s = WeightSampler::new(&f, &kevin_julia(), 1);
         assert!(s.sample(10).is_empty());
@@ -393,9 +390,8 @@ mod tests {
             9.0, 5.0, 1.0, //
             2.0, 9.0, 9.0, //
         ];
-        let tree = RTree::bulk_load(3, &pts);
         let q = [4.0, 4.0, 4.0];
-        let f = DominanceFrontier::from_tree(&tree, &q);
+        let f = frontier(3, &pts, &q);
         assert!(f.num_incomparable() > 0);
         let anchors = vec![Weight::new(vec![0.2, 0.3, 0.5])];
         let mut s = WeightSampler::new(&f, &anchors, 11);
@@ -425,9 +421,8 @@ mod tests {
                 [a, b, c]
             })
             .collect();
-        let tree = RTree::bulk_load(3, &pts);
         let q = [3.0, 3.0, 3.0];
-        let f = DominanceFrontier::from_tree(&tree, &q);
+        let f = frontier(3, &pts, &q);
         let anchor = Weight::new(vec![0.6, 0.3, 0.1]);
         let mut anchored = WeightSampler::new(&f, std::slice::from_ref(&anchor), 3);
         let mut blind = WeightSampler::new(&f, &[], 3);
@@ -447,8 +442,7 @@ mod tests {
         // Exploration samples from one hyperplane should differ — the
         // polytope has positive dimension for d = 3.
         let pts = vec![5.0, 1.0, 9.0];
-        let tree = RTree::bulk_load(3, &pts);
-        let f = DominanceFrontier::from_tree(&tree, &[4.0, 4.0, 4.0]);
+        let f = frontier(3, &pts, &[4.0, 4.0, 4.0]);
         let mut s = WeightSampler::new(&f, &[], 3);
         let ws = s.sample(20);
         assert_eq!(ws.len(), 20);

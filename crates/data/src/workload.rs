@@ -15,8 +15,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wqrtq_geom::Weight;
-use wqrtq_query::rank::rank_of_point;
+use wqrtq_geom::{score, Weight};
 use wqrtq_rtree::RTree;
 
 /// Parameters of a why-not case to generate.
@@ -85,6 +84,11 @@ fn lerp_simplex(a: &[f64], b: &[f64], t: f64) -> Vec<f64> {
     w
 }
 
+/// Exact rank of `q` under `w`: one counted R-tree pass.
+fn rank_of(tree: &RTree, w: &[f64], q: &[f64]) -> usize {
+    tree.count_score_below(w, score(w, q), true) + 1
+}
+
 /// Builds a why-not case on an indexed dataset.
 ///
 /// # Panics
@@ -134,7 +138,7 @@ pub fn build_case(tree: &RTree, spec: &WorkloadSpec, seed: u64) -> WhyNotCase {
         while why_not.len() < spec.num_why_not && tries < 600 {
             tries += 1;
             let w_far = sample_simplex(&mut rng, dim);
-            let far_rank = rank_of_point(tree, &w_far, &q);
+            let far_rank = rank_of(tree, &w_far, &q);
             if far_rank < lo {
                 continue; // cannot bracket the window along this ray
             }
@@ -149,7 +153,7 @@ pub fn build_case(tree: &RTree, spec: &WorkloadSpec, seed: u64) -> WhyNotCase {
             for _ in 0..40 {
                 let t = 0.5 * (t_lo + t_hi);
                 let w = lerp_simplex(&w_good, &w_far, t);
-                let r = rank_of_point(tree, &w, &q);
+                let r = rank_of(tree, &w, &q);
                 if (lo..=hi).contains(&r) {
                     found = Some((w, r));
                     break;
@@ -181,15 +185,20 @@ pub fn build_case(tree: &RTree, spec: &WorkloadSpec, seed: u64) -> WhyNotCase {
 mod tests {
     use super::*;
     use crate::synthetic::{anticorrelated, independent};
+    use wqrtq_query::rank::rank_of_point_scan;
 
     fn tree_20k() -> RTree {
-        let ds = independent(20_000, 3, 77);
-        RTree::bulk_load(3, &ds.coords)
+        RTree::bulk_load(3, &coords_20k())
+    }
+
+    fn coords_20k() -> Vec<f64> {
+        independent(20_000, 3, 77).coords
     }
 
     #[test]
     fn case_ranks_are_in_window_and_exceed_k() {
-        let tree = tree_20k();
+        let coords = coords_20k();
+        let tree = RTree::bulk_load(3, &coords);
         let spec = WorkloadSpec {
             k: 10,
             num_why_not: 3,
@@ -200,7 +209,7 @@ mod tests {
         assert_eq!(case.why_not.len(), 3);
         assert_eq!(case.k, 10);
         for (w, &r) in case.why_not.iter().zip(&case.actual_ranks) {
-            let actual = rank_of_point(&tree, w, &case.q);
+            let actual = rank_of_point_scan(&coords, w, &case.q);
             assert_eq!(actual, r);
             assert!(r > spec.k, "rank {r} must exceed k");
             assert!((51..=152).contains(&r), "rank {r} outside window");
@@ -218,7 +227,7 @@ mod tests {
         for i in 1..10 {
             for j in 1..(10 - i) {
                 let w = [i as f64 / 10.0, j as f64 / 10.0, (10 - i - j) as f64 / 10.0];
-                best = best.min(rank_of_point(&tree, &w, &case.q));
+                best = best.min(rank_of(&tree, &w, &case.q));
             }
         }
         assert!(best <= 60, "q should be competitive somewhere, best {best}");

@@ -7,29 +7,24 @@
 //!
 //! * [`bichromatic_reverse_topk_naive`] — an independent rank scan per
 //!   weight over the raw points (the correctness oracle);
-//! * [`bichromatic_reverse_topk_rta_legacy`] — the PR-1 RTA: per-weight
-//!   `is_in_topk` plus a *full* best-first top-k refresh of the threshold
-//!   buffer after every index probe. Kept verbatim as the frozen baseline
-//!   the `rank_bench` speedup is measured against;
-//! * [`bichromatic_reverse_topk_rta`] — the rebuilt hot path: weights are
-//!   processed in similarity order; a rolling *culprit pool* (points
-//!   recently proven strictly better than `q`) provides the threshold
-//!   test via the fused [`count_better_rows`] kernel, and weights that
-//!   survive it go to the early-exit membership probe, which refills the
-//!   pool with the culprits it encounters — no per-weight top-k, no
-//!   per-weight allocation. The pool test is sound for *any* pool
-//!   contents: pool members are dataset points, so `k` of them scoring
-//!   strictly below `f(w, q)` proves `rank(q, w) > k` regardless of how
-//!   the pool was assembled.
+//! * [`rta_over_order_view_masked`] — the RTA hot path over a
+//!   [`DeltaView`]: weights are processed in similarity order; a rolling
+//!   *culprit pool* (points recently proven strictly better than `q`)
+//!   provides the threshold test via the fused [`count_better_rows`]
+//!   kernel, and weights that survive it go to the early-exit membership
+//!   probe, which refills the pool with the culprits it encounters — no
+//!   per-weight top-k, no per-weight allocation. The pool test is sound
+//!   for *any* pool contents: pool members are dataset points, so `k` of
+//!   them scoring strictly below `f(w, q)` proves `rank(q, w) > k`
+//!   regardless of how the pool was assembled.
 //!
-//! The hot path is exposed in shardable form ([`rta_sorted_order`] +
-//! [`rta_over_order`]): a serving engine computes the similarity order
-//! once, splits it into contiguous chunks, and runs each chunk on a
-//! different worker with its own scratch — results merge by
-//! concatenation because every chunk's verdicts are independent.
+//! The hot path is shardable: a serving engine computes the similarity
+//! order once ([`rta_sorted_order`]), splits it into contiguous chunks,
+//! and runs each chunk on a different worker with its own scratch —
+//! results merge by concatenation because every chunk's verdicts are
+//! independent.
 
-use crate::rank::is_in_topk;
-use wqrtq_geom::{count_better_rows, score, DeltaView, Point, Weight};
+use wqrtq_geom::{count_better_rows, DeltaView, Point, Weight};
 use wqrtq_rtree::{search::CulpritBuf, DominanceIndex, ProbeScratch, RTree};
 
 /// Work counters exposed by the RTA implementations for the ablation
@@ -105,8 +100,8 @@ pub fn bichromatic_reverse_topk_naive(
 
 /// The similarity order RTA processes weights in: lexicographic over the
 /// entries, so adjacent weights are close and their culprit sets
-/// transfer well. Shared by the legacy and rebuilt implementations (and
-/// by engines sharding [`rta_over_order`]).
+/// transfer well (and engines shard [`rta_over_order_view_masked`] over
+/// contiguous chunks of it).
 pub fn rta_sorted_order(weights: &[Weight]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..weights.len()).collect();
     order.sort_by(|&a, &b| {
@@ -121,60 +116,19 @@ pub fn rta_sorted_order(weights: &[Weight]) -> Vec<usize> {
     order
 }
 
-/// RTA-style bichromatic reverse top-k over an R-tree.
-/// Returns qualifying indices in ascending order.
-pub fn bichromatic_reverse_topk_rta(
-    tree: &RTree,
-    weights: &[Weight],
-    q: &[f64],
-    k: usize,
-) -> Vec<usize> {
-    bichromatic_reverse_topk_rta_with_stats(tree, weights, q, k).0
-}
-
-/// [`bichromatic_reverse_topk_rta`] with pruning statistics.
-pub fn bichromatic_reverse_topk_rta_with_stats(
-    tree: &RTree,
-    weights: &[Weight],
-    q: &[f64],
-    k: usize,
-) -> (Vec<usize>, RtaStats) {
-    let mut scratch = RtaScratch::new();
-    let order = rta_sorted_order(weights);
-    let (mut result, stats) = rta_over_order(tree, weights, &order, q, k, &mut scratch);
-    result.sort_unstable();
-    (result, stats)
-}
-
-/// Runs the rebuilt RTA over one contiguous slice of a similarity order
-/// (see [`rta_sorted_order`]). Returns the qualifying original indices
-/// in traversal order (callers sort after merging shards) plus the
-/// shard's pruning counters.
+/// The RTA body of a plain view (no appends, no tombstones): the seed
+/// traversal's exact top-k fills the culprit pool, which each probe
+/// refills with the culprits it meets.
 ///
-/// Sharding-safe: each call maintains its own culprit pool inside
-/// `scratch`, so verdicts never depend on other shards.
-pub fn rta_over_order(
-    tree: &RTree,
-    weights: &[Weight],
-    order: &[usize],
-    q: &[f64],
-    k: usize,
-    scratch: &mut RtaScratch,
-) -> (Vec<usize>, RtaStats) {
-    rta_over_order_masked(tree, weights, order, q, k, None, scratch)
-}
-
-/// [`rta_over_order`] with an optional [`DominanceIndex`] pre-filter:
-/// the seed traversal and every membership probe skip points (and whole
-/// subtrees) that `k` other points dominate. Verdicts are bit-identical
-/// to the unmasked run — masked points can never flip a membership
-/// outcome — though the prune/verify split in [`RtaStats`] may shift
-/// (the culprit pool is filled from whichever points the probes actually
-/// visit). Passing `None`, a mask whose build cap is below `k`, or
-/// weights with negative entries degrades gracefully to the unmasked
-/// path.
-#[allow(clippy::too_many_arguments)]
-pub fn rta_over_order_masked(
+/// With a [`DominanceIndex`] the seed traversal and every membership
+/// probe skip points (and whole subtrees) that `k` other points dominate.
+/// Verdicts are bit-identical to the unmasked run — masked points can
+/// never flip a membership outcome — though the prune/verify split in
+/// [`RtaStats`] may shift (the culprit pool is filled from whichever
+/// points the probes actually visit). `None`, a mask whose build cap is
+/// below `k`, or weights with negative entries degrade gracefully to the
+/// unmasked path.
+fn rta_over_order_masked(
     tree: &RTree,
     weights: &[Weight],
     order: &[usize],
@@ -350,12 +304,21 @@ pub fn rta_over_order_masked(
     (result, stats)
 }
 
-/// [`rta_over_order`] over a delta overlay: every weight's verdict is
-/// corrected by the `O(Δ)` appended/tombstoned sweeps, the culprit pool
-/// keeps only *live* base points (a tombstoned culprit would prune
-/// unsoundly), and the base probe's count target shifts by the overlay
-/// corrections — so the verdicts are exactly those of a dataset rebuilt
-/// from the live rows. Plain views take the unmodified hot path.
+/// Runs RTA over one contiguous slice of a similarity order (see
+/// [`rta_sorted_order`]) against a delta overlay. Returns the qualifying
+/// original indices in traversal order (callers sort after merging
+/// shards) plus the shard's pruning counters.
+///
+/// Sharding-safe: each call maintains its own culprit pool inside
+/// `scratch`, so verdicts never depend on other shards.
+///
+/// Every weight's verdict is corrected by the `O(Δ)` appended and
+/// tombstoned sweeps, the culprit pool keeps only *live* base points (a
+/// tombstoned culprit would prune unsoundly), and the base probe's count
+/// target shifts by the overlay corrections — so the verdicts are
+/// exactly those of a dataset rebuilt from the live rows. Plain views
+/// take a separate body that also seeds and refills the culprit pool
+/// from the base's exact top-k and the mask's skyband.
 ///
 /// Soundness of the pruning ladder, per weight with `sq = f(w, q)`:
 ///
@@ -365,25 +328,13 @@ pub fn rta_over_order_masked(
 /// 3. Otherwise probe the base index for target `k − d_add + d_dead`:
 ///    the probe decides `base_all < k − d_add + d_dead`, which is
 ///    exactly `live_better < k`.
-pub fn rta_over_order_view(
-    tree: &RTree,
-    view: &DeltaView,
-    weights: &[Weight],
-    order: &[usize],
-    q: &[f64],
-    k: usize,
-    scratch: &mut RtaScratch,
-) -> (Vec<usize>, RtaStats) {
-    rta_over_order_view_masked(tree, view, weights, order, q, k, None, scratch)
-}
-
-/// [`rta_over_order_view`] with an optional [`DominanceIndex`]
-/// pre-filter over the *base* index. The exclusion threshold per weight
-/// is the probe's count target plus the view's tombstone count, so each
-/// skipped point keeps enough *live* dominators to make the verdict
-/// bit-identical (see `DominanceIndex`'s module docs for the deletion
-/// argument). `None` or an insufficient build cap degrades to the
-/// unmasked path per weight.
+///
+/// With a [`DominanceIndex`] pre-filter over the *base* index, the
+/// exclusion threshold per weight is the probe's count target plus the
+/// view's tombstone count, so each skipped point keeps enough *live*
+/// dominators to make the verdict bit-identical (see `DominanceIndex`'s
+/// module docs for the deletion argument). `None` or an insufficient
+/// build cap degrades to the unmasked path per weight.
 #[allow(clippy::too_many_arguments)]
 pub fn rta_over_order_view_masked(
     tree: &RTree,
@@ -485,103 +436,17 @@ pub fn rta_over_order_view_masked(
     (result, stats)
 }
 
-/// Bichromatic reverse top-k over a delta overlay, in ascending index
-/// order — the one-shot wrapper over [`rta_over_order_view`].
-pub fn bichromatic_reverse_topk_rta_view(
-    tree: &RTree,
-    view: &DeltaView,
-    weights: &[Weight],
-    q: &[f64],
-    k: usize,
-) -> Vec<usize> {
-    let mut scratch = RtaScratch::new();
-    let order = rta_sorted_order(weights);
-    let (mut result, _) = rta_over_order_view(tree, view, weights, &order, q, k, &mut scratch);
-    result.sort_unstable();
-    result
-}
-
-/// The PR-1 RTA implementation, frozen as the `rank_bench` baseline: a
-/// buffered threshold test over the previous weight's *exact* top-k,
-/// then `is_in_topk` plus a full best-first top-k buffer refresh per
-/// verified weight (two traversals and `k` heap allocations each).
-pub fn bichromatic_reverse_topk_rta_legacy(
-    tree: &RTree,
-    weights: &[Weight],
-    q: &[f64],
-    k: usize,
-) -> Vec<usize> {
-    bichromatic_reverse_topk_rta_legacy_with_stats(tree, weights, q, k).0
-}
-
-/// [`bichromatic_reverse_topk_rta_legacy`] with pruning statistics.
-pub fn bichromatic_reverse_topk_rta_legacy_with_stats(
-    tree: &RTree,
-    weights: &[Weight],
-    q: &[f64],
-    k: usize,
-) -> (Vec<usize>, RtaStats) {
-    let mut stats = RtaStats::default();
-    if weights.is_empty() || k == 0 {
-        return (Vec::new(), stats);
-    }
-
-    let order = rta_sorted_order(weights);
-    let mut result = Vec::new();
-    // Buffer: coordinates of the previous weight's top-k points.
-    let mut buffer: Vec<Vec<f64>> = Vec::new();
-
-    for &idx in &order {
-        let w = &weights[idx];
-        let sq = w.score(q);
-
-        // Threshold test: if k buffered points already beat q under this
-        // weight, q cannot be in TOPk(w) — no index work needed.
-        if buffer.len() >= k {
-            let better = buffer.iter().filter(|p| score(w, p) < sq).count();
-            if better >= k {
-                stats.buffer_prunes += 1;
-                continue;
-            }
-        }
-
-        stats.tree_verifications += 1;
-        if is_in_topk(tree, w, q, k) {
-            result.push(idx);
-        }
-        // Refresh the buffer with this weight's exact top-k.
-        buffer.clear();
-        let mut bf = tree.best_first(w);
-        for _ in 0..k {
-            match bf.next_entry() {
-                Some(r) => buffer.push(r.coords.to_vec()),
-                None => break,
-            }
-        }
-    }
-
-    result.sort_unstable();
-    (result, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::{fig_points, fig_views, indexed};
     use proptest::prelude::*;
 
     fn fig_products() -> Vec<Point> {
-        [
-            [2.0, 1.0],
-            [6.0, 3.0],
-            [1.0, 9.0],
-            [9.0, 3.0],
-            [7.0, 5.0],
-            [5.0, 8.0],
-            [3.0, 7.0],
-        ]
-        .into_iter()
-        .map(Point::from)
-        .collect()
+        fig_points()
+            .chunks_exact(2)
+            .map(|p| Point::from([p[0], p[1]]))
+            .collect()
     }
 
     fn fig_customers() -> Vec<Weight> {
@@ -593,12 +458,31 @@ mod tests {
         ]
     }
 
-    fn fig_tree() -> RTree {
-        let flat: Vec<f64> = fig_products()
-            .iter()
-            .flat_map(|p| p.coords().to_vec())
-            .collect();
-        RTree::bulk_load(2, &flat)
+    /// One-shot RTA over the whole population, members ascending.
+    fn rta(
+        tree: &RTree,
+        view: &DeltaView,
+        weights: &[Weight],
+        q: &[f64],
+        k: usize,
+        dom: Option<&DominanceIndex>,
+    ) -> (Vec<usize>, RtaStats) {
+        let order = rta_sorted_order(weights);
+        let mut scratch = RtaScratch::new();
+        let (mut members, stats) =
+            rta_over_order_view_masked(tree, view, weights, &order, q, k, dom, &mut scratch);
+        members.sort_unstable();
+        (members, stats)
+    }
+
+    /// `n` pseudo-random 2-D points in `[0, scale)²`.
+    fn lcg_points(n: usize, mut state: u64, inc: u64, scale: f64) -> Vec<f64> {
+        (0..2 * n)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(inc);
+                (state >> 11) as f64 / (1u64 << 53) as f64 * scale
+            })
+            .collect()
     }
 
     #[test]
@@ -609,22 +493,13 @@ mod tests {
 
     #[test]
     fn rta_matches_naive_on_paper_example() {
-        let (res, stats) =
-            bichromatic_reverse_topk_rta_with_stats(&fig_tree(), &fig_customers(), &[4.0, 4.0], 3);
-        assert_eq!(res, vec![1, 2]);
-        assert_eq!(stats.buffer_prunes + stats.tree_verifications, 4);
-    }
-
-    #[test]
-    fn legacy_rta_matches_naive_on_paper_example() {
-        let (res, stats) = bichromatic_reverse_topk_rta_legacy_with_stats(
-            &fig_tree(),
-            &fig_customers(),
-            &[4.0, 4.0],
-            3,
-        );
-        assert_eq!(res, vec![1, 2]);
-        assert_eq!(stats.buffer_prunes + stats.tree_verifications, 4);
+        let [(tree, view), _] = fig_views();
+        let dom = DominanceIndex::build(&tree);
+        for mask in [None, Some(&dom)] {
+            let (res, stats) = rta(&tree, &view, &fig_customers(), &[4.0, 4.0], 3, mask);
+            assert_eq!(res, vec![1, 2]); // Tony, Anna
+            assert_eq!(stats.buffer_prunes + stats.tree_verifications, 4);
+        }
     }
 
     #[test]
@@ -632,37 +507,32 @@ mod tests {
         let res =
             bichromatic_reverse_topk_naive(&fig_products(), &fig_customers(), &[4.0, 4.0], 100);
         assert_eq!(res, vec![0, 1, 2, 3]);
-        let rta = bichromatic_reverse_topk_rta(&fig_tree(), &fig_customers(), &[4.0, 4.0], 100);
-        assert_eq!(rta, vec![0, 1, 2, 3]);
+        let [(tree, view), _] = fig_views();
+        let (res, _) = rta(&tree, &view, &fig_customers(), &[4.0, 4.0], 100, None);
+        assert_eq!(res, vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn empty_weights_and_k_zero() {
         assert!(bichromatic_reverse_topk_naive(&fig_products(), &[], &[4.0, 4.0], 3).is_empty());
-        let res = bichromatic_reverse_topk_rta(&fig_tree(), &fig_customers(), &[4.0, 4.0], 0);
-        assert!(res.is_empty());
-        let res = bichromatic_reverse_topk_rta(&fig_tree(), &[], &[4.0, 4.0], 3);
-        assert!(res.is_empty());
+        for (tree, view) in fig_views() {
+            assert!(rta(&tree, &view, &fig_customers(), &[4.0, 4.0], 0, None)
+                .0
+                .is_empty());
+            assert!(rta(&tree, &view, &[], &[4.0, 4.0], 3, None).0.is_empty());
+        }
     }
 
     #[test]
     fn rta_prunes_with_many_similar_weights() {
         // A dense fan of weights on a dataset where q is far from the top:
         // most weights should be rejected by the culprit pool alone.
-        let mut pts = Vec::new();
-        let mut state = 12345u64;
-        for _ in 0..500 {
-            for _ in 0..2 {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(7);
-                pts.push((state >> 11) as f64 / (1u64 << 53) as f64);
-            }
-        }
-        let tree = RTree::bulk_load(2, &pts);
+        let (tree, view) = indexed(2, &lcg_points(500, 12345, 7, 1.0), &[], 1, false);
         let weights: Vec<Weight> = (1..100)
             .map(|i| Weight::from_first_2d(i as f64 / 100.0))
             .collect();
         let q = [0.9, 0.9]; // dominated by many points: never in top-k
-        let (res, stats) = bichromatic_reverse_topk_rta_with_stats(&tree, &weights, &q, 5);
+        let (res, stats) = rta(&tree, &view, &weights, &q, 5, None);
         assert!(res.is_empty());
         assert!(
             stats.buffer_prunes > stats.tree_verifications,
@@ -675,21 +545,13 @@ mod tests {
         // Chunking the sorted order and merging must reproduce the
         // one-shot result — the contract the engine's parallel path
         // relies on.
-        let mut pts = Vec::new();
-        let mut state = 99u64;
-        for _ in 0..400 {
-            for _ in 0..2 {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(17);
-                pts.push((state >> 11) as f64 / (1u64 << 53) as f64 * 10.0);
-            }
-        }
-        let tree = RTree::bulk_load(2, &pts);
+        let (tree, view) = indexed(2, &lcg_points(400, 99, 17, 10.0), &[], 1, false);
         let weights: Vec<Weight> = (1..120)
             .map(|i| Weight::from_first_2d(i as f64 / 120.0))
             .collect();
         let q = [3.0, 3.5];
         for k in [1, 4, 9] {
-            let full = bichromatic_reverse_topk_rta(&tree, &weights, &q, k);
+            let (full, _) = rta(&tree, &view, &weights, &q, k, None);
             let order = rta_sorted_order(&weights);
             for shards in [2, 3, 7] {
                 let chunk = order.len().div_ceil(shards);
@@ -697,7 +559,16 @@ mod tests {
                 let mut stats = RtaStats::default();
                 for piece in order.chunks(chunk) {
                     let mut scratch = RtaScratch::new();
-                    let (part, s) = rta_over_order(&tree, &weights, piece, &q, k, &mut scratch);
+                    let (part, s) = rta_over_order_view_masked(
+                        &tree,
+                        &view,
+                        &weights,
+                        piece,
+                        &q,
+                        k,
+                        None,
+                        &mut scratch,
+                    );
                     merged.extend(part);
                     stats.merge(s);
                 }
@@ -714,57 +585,34 @@ mod tests {
 
     #[test]
     fn scratch_reuse_preserves_results() {
-        let tree = fig_tree();
+        let [(tree, view), _] = fig_views();
         let weights = fig_customers();
         let order = rta_sorted_order(&weights);
         let mut scratch = RtaScratch::new();
         assert!(!scratch.is_warm());
-        let (mut a, _) = rta_over_order(&tree, &weights, &order, &[4.0, 4.0], 3, &mut scratch);
-        a.sort_unstable();
+        let run = |q: &[f64], scratch: &mut RtaScratch| {
+            let (mut members, _) =
+                rta_over_order_view_masked(&tree, &view, &weights, &order, q, 3, None, scratch);
+            members.sort_unstable();
+            members
+        };
+        let a = run(&[4.0, 4.0], &mut scratch);
         assert!(scratch.is_warm());
         // Reuse the same scratch for a different query: must not leak
         // pool state into wrong answers.
-        let (mut b, _) = rta_over_order(&tree, &weights, &order, &[1.0, 1.0], 3, &mut scratch);
-        b.sort_unstable();
+        let b = run(&[1.0, 1.0], &mut scratch);
         let naive_b = bichromatic_reverse_topk_naive(&fig_products(), &weights, &[1.0, 1.0], 3);
         assert_eq!(b, naive_b);
-        let (mut a2, _) = rta_over_order(&tree, &weights, &order, &[4.0, 4.0], 3, &mut scratch);
-        a2.sort_unstable();
-        assert_eq!(a, a2);
+        assert_eq!(a, run(&[4.0, 4.0], &mut scratch));
     }
 
-    #[test]
-    fn view_rta_on_plain_view_delegates_to_hot_path() {
-        use std::sync::Arc;
-        use wqrtq_geom::FlatPoints;
-        let flat: Vec<f64> = fig_products()
-            .iter()
-            .flat_map(|p| p.coords().to_vec())
-            .collect();
-        let tree = RTree::bulk_load(2, &flat);
-        let view = DeltaView::plain(Arc::new(FlatPoints::from_row_major(2, &flat)));
-        let res = bichromatic_reverse_topk_rta_view(&tree, &view, &fig_customers(), &[4.0, 4.0], 3);
-        assert_eq!(res, vec![1, 2]); // Tony, Anna
-    }
-
-    #[test]
-    fn masked_rta_matches_unmasked_on_paper_example() {
-        let tree = fig_tree();
-        let dom = DominanceIndex::build(&tree);
-        let weights = fig_customers();
-        let order = rta_sorted_order(&weights);
-        let mut scratch = RtaScratch::new();
-        let (mut got, _) = rta_over_order_masked(
-            &tree,
-            &weights,
-            &order,
-            &[4.0, 4.0],
-            3,
-            Some(&dom),
-            &mut scratch,
-        );
-        got.sort_unstable();
-        assert_eq!(got, vec![1, 2]); // Tony, Anna
+    /// The base rows `pts` plus `tie_copies` exact copies of `q`, which
+    /// tie with it under every weight.
+    fn with_ties(pts: &[(f64, f64)], q: (f64, f64), tie_copies: usize) -> Vec<f64> {
+        pts.iter()
+            .chain(std::iter::repeat_n(&q, tie_copies))
+            .flat_map(|(a, b)| [*a, *b])
+            .collect()
     }
 
     proptest! {
@@ -779,58 +627,26 @@ mod tests {
             nw in 1usize..16,
             del_stride in 2usize..5,
             tie_copies in 0usize..4,
+            mutate in proptest::bool::ANY,
         ) {
-            use std::sync::Arc;
-            use wqrtq_geom::FlatPoints;
             // Duplicates of q tie at the boundary under every weight.
-            let mut all = pts.clone();
-            for _ in 0..tie_copies {
-                all.push(q);
-            }
-            let flat: Vec<f64> = all.iter().flat_map(|(a, b)| [*a, *b]).collect();
-            let tree = RTree::bulk_load_with_fanout(2, &flat, 8);
+            let flat = with_ties(&pts, q, tie_copies);
+            let extra: Vec<f64> = extra.iter().flat_map(|(a, b)| [*a, *b]).collect();
+            let (tree, view) = indexed(2, &flat, &extra, del_stride, mutate);
             let dom = DominanceIndex::build(&tree);
             let weights: Vec<Weight> = (0..nw)
                 .map(|i| Weight::from_first_2d((i as f64 + 0.5) / nw as f64))
                 .collect();
-            let order = rta_sorted_order(&weights);
             let qv = [q.0, q.1];
-
-            // Plain RTA: masked vs unmasked verdicts.
-            let mut s1 = RtaScratch::new();
-            let mut s2 = RtaScratch::new();
-            let (mut plain, _) = rta_over_order(&tree, &weights, &order, &qv, k, &mut s1);
-            let (mut masked, _) =
-                rta_over_order_masked(&tree, &weights, &order, &qv, k, Some(&dom), &mut s2);
-            plain.sort_unstable();
-            masked.sort_unstable();
-            prop_assert_eq!(&plain, &masked);
-
-            // View RTA over a mutated overlay: masked vs unmasked.
-            let dead_ids: Vec<u32> = (0..all.len() as u32).step_by(del_stride).collect();
-            let dead_rows: Vec<f64> = dead_ids
-                .iter()
-                .flat_map(|&i| [all[i as usize].0, all[i as usize].1])
-                .collect();
-            let view = DeltaView::new(
-                Arc::new(FlatPoints::from_row_major(2, &flat)),
-                Arc::new(extra.iter().flat_map(|(a, b)| [*a, *b]).collect()),
-                Arc::new((0..extra.len() as u32).map(|i| all.len() as u32 + i).collect()),
-                Arc::new(dead_rows),
-                Arc::new(dead_ids),
-            );
-            let mut s3 = RtaScratch::new();
-            let mut s4 = RtaScratch::new();
-            let (mut vplain, _) =
-                rta_over_order_view(&tree, &view, &weights, &order, &qv, k, &mut s3);
-            let (mut vmasked, _) = rta_over_order_view_masked(
-                &tree, &view, &weights, &order, &qv, k, Some(&dom), &mut s4,
-            );
-            vplain.sort_unstable();
-            vmasked.sort_unstable();
-            prop_assert_eq!(&vplain, &vmasked);
+            let (unmasked, _) = rta(&tree, &view, &weights, &qv, k, None);
+            let (masked, _) = rta(&tree, &view, &weights, &qv, k, Some(&dom));
+            prop_assert_eq!(&unmasked, &masked);
         }
 
+        /// RTA over a plain view (`mutate` false) or an overlay against
+        /// the naive scan of the live rows, whole and sharded. Copies of
+        /// q in the base tie with it under every weight; the strict-count
+        /// semantics must keep q in regardless.
         #[test]
         fn view_rta_matches_rebuilt_naive(
             pts in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 5..120),
@@ -839,23 +655,12 @@ mod tests {
             k in 1usize..8,
             nw in 1usize..16,
             del_stride in 2usize..5,
+            tie_copies in 0usize..4,
+            mutate in proptest::bool::ANY,
         ) {
-            use std::sync::Arc;
-            use wqrtq_geom::FlatPoints;
-            let flat: Vec<f64> = pts.iter().flat_map(|(a, b)| [*a, *b]).collect();
-            let tree = RTree::bulk_load_with_fanout(2, &flat, 8);
-            let dead_ids: Vec<u32> = (0..pts.len() as u32).step_by(del_stride).collect();
-            let dead_rows: Vec<f64> = dead_ids
-                .iter()
-                .flat_map(|&i| [pts[i as usize].0, pts[i as usize].1])
-                .collect();
-            let view = DeltaView::new(
-                Arc::new(FlatPoints::from_row_major(2, &flat)),
-                Arc::new(extra.iter().flat_map(|(a, b)| [*a, *b]).collect()),
-                Arc::new((0..extra.len() as u32).map(|i| pts.len() as u32 + i).collect()),
-                Arc::new(dead_rows),
-                Arc::new(dead_ids),
-            );
+            let flat = with_ties(&pts, q, tie_copies);
+            let extra: Vec<f64> = extra.iter().flat_map(|(a, b)| [*a, *b]).collect();
+            let (tree, view) = indexed(2, &flat, &extra, del_stride, mutate);
             let (live, _) = view.materialize_row_major();
             let live_points: Vec<Point> = live
                 .chunks_exact(2)
@@ -866,65 +671,20 @@ mod tests {
                 .collect();
             let qv = [q.0, q.1];
             let naive = bichromatic_reverse_topk_naive(&live_points, &weights, &qv, k);
-            let got = bichromatic_reverse_topk_rta_view(&tree, &view, &weights, &qv, k);
+            let (got, _) = rta(&tree, &view, &weights, &qv, k, None);
             prop_assert_eq!(&naive, &got);
             // Sharding the order must reproduce the same verdicts.
             let order = rta_sorted_order(&weights);
             let mut merged = Vec::new();
             for piece in order.chunks(order.len().div_ceil(3).max(1)) {
                 let mut scratch = RtaScratch::new();
-                let (part, _) =
-                    rta_over_order_view(&tree, &view, &weights, piece, &qv, k, &mut scratch);
+                let (part, _) = rta_over_order_view_masked(
+                    &tree, &view, &weights, piece, &qv, k, None, &mut scratch,
+                );
                 merged.extend(part);
             }
             merged.sort_unstable();
             prop_assert_eq!(&naive, &merged);
-        }
-
-        #[test]
-        fn rta_and_legacy_equal_naive(
-            pts in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 5..120),
-            q in (0.0f64..10.0, 0.0f64..10.0),
-            k in 1usize..8,
-            nw in 1usize..16,
-        ) {
-            let points: Vec<Point> = pts.iter().map(|(a, b)| Point::from([*a, *b])).collect();
-            let flat: Vec<f64> = pts.iter().flat_map(|(a, b)| [*a, *b]).collect();
-            let tree = RTree::bulk_load_with_fanout(2, &flat, 8);
-            let weights: Vec<Weight> = (0..nw)
-                .map(|i| Weight::from_first_2d((i as f64 + 0.5) / nw as f64))
-                .collect();
-            let qv = [q.0, q.1];
-            let naive = bichromatic_reverse_topk_naive(&points, &weights, &qv, k);
-            let rta = bichromatic_reverse_topk_rta(&tree, &weights, &qv, k);
-            prop_assert_eq!(&naive, &rta);
-            let legacy = bichromatic_reverse_topk_rta_legacy(&tree, &weights, &qv, k);
-            prop_assert_eq!(&naive, &legacy);
-        }
-
-        #[test]
-        fn rta_handles_boundary_ties(
-            pts in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 5..80),
-            q in (0.0f64..10.0, 0.0f64..10.0),
-            k in 1usize..6,
-            tie_copies in 1usize..4,
-        ) {
-            // Duplicates of q in the dataset tie it under every weight;
-            // the strict-count semantics must keep q in regardless.
-            let mut all = pts.clone();
-            for _ in 0..tie_copies {
-                all.push(q);
-            }
-            let points: Vec<Point> = all.iter().map(|(a, b)| Point::from([*a, *b])).collect();
-            let flat: Vec<f64> = all.iter().flat_map(|(a, b)| [*a, *b]).collect();
-            let tree = RTree::bulk_load_with_fanout(2, &flat, 8);
-            let weights: Vec<Weight> = (0..12)
-                .map(|i| Weight::from_first_2d((i as f64 + 0.5) / 12.0))
-                .collect();
-            let qv = [q.0, q.1];
-            let naive = bichromatic_reverse_topk_naive(&points, &weights, &qv, k);
-            let rta = bichromatic_reverse_topk_rta(&tree, &weights, &qv, k);
-            prop_assert_eq!(naive, rta);
         }
     }
 }

@@ -14,9 +14,10 @@
 //! one query point (e.g. the workload builder's bisection search and
 //! population partitioning).
 
-use crate::rank::is_in_topk;
-use wqrtq_geom::score;
-use wqrtq_rtree::RTree;
+use crate::rank::is_in_topk_view_masked_with_stats;
+use crate::topk::ViewBestFirst;
+use wqrtq_geom::{score, DeltaView};
+use wqrtq_rtree::{ProbeScratch, RTree};
 
 /// An LRU cache of top-k views used to short-circuit membership probes.
 #[derive(Debug)]
@@ -65,8 +66,9 @@ impl TopkViewCache {
     /// Membership probe `q ∈ TOPk(w)` with view acceleration: if any
     /// cached view already shows `k` points beating `q` under `w`, the
     /// answer is `false` without touching the index; otherwise the index
-    /// decides and (on a miss) the exact view for `w` is cached.
-    pub fn is_in_topk(&mut self, tree: &RTree, w: &[f64], q: &[f64]) -> bool {
+    /// decides and (on a miss) the exact view for `w` is cached. `tree`
+    /// must be the index of `data`'s base rows.
+    pub fn is_in_topk(&mut self, tree: &RTree, data: &DeltaView, w: &[f64], q: &[f64]) -> bool {
         let sq = score(w, q);
         // Most-recently-used first: recent views are likeliest to match.
         for vi in (0..self.views.len()).rev() {
@@ -87,16 +89,18 @@ impl TopkViewCache {
             }
         }
         self.misses += 1;
-        let answer = is_in_topk(tree, w, q, self.k);
-        self.insert_view(tree, w);
+        let mut scratch = ProbeScratch::new();
+        let (answer, _) =
+            is_in_topk_view_masked_with_stats(tree, data, None, w, q, self.k, &mut scratch);
+        self.insert_view(tree, data, w);
         answer
     }
 
     /// Computes and caches the exact top-k view for `w`.
-    fn insert_view(&mut self, tree: &RTree, w: &[f64]) {
+    fn insert_view(&mut self, tree: &RTree, data: &DeltaView, w: &[f64]) {
         let dim = tree.dim();
         let mut coords = Vec::with_capacity(self.k * dim);
-        let mut bf = tree.best_first(w);
+        let mut bf = ViewBestFirst::new(tree, data, w);
         for _ in 0..self.k {
             match bf.next_entry() {
                 Some(r) => coords.extend_from_slice(r.coords),
@@ -142,6 +146,7 @@ impl TopkViewCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::indexed;
     use wqrtq_geom::Weight;
 
     fn scatter(n: usize, seed: u64) -> Vec<f64> {
@@ -157,13 +162,15 @@ mod tests {
     #[test]
     fn cache_answers_match_direct_probes() {
         let pts = scatter(2_000, 5);
-        let tree = RTree::bulk_load(2, &pts);
+        let (tree, data) = indexed(2, &pts, &[], 1, false);
         let q = [0.4, 0.4];
         let mut cache = TopkViewCache::new(10, 8);
         for i in 1..60 {
             let w = Weight::from_first_2d(i as f64 / 60.0);
-            let direct = is_in_topk(&tree, &w, &q, 10);
-            let cached = cache.is_in_topk(&tree, &w, &q);
+            let mut scratch = ProbeScratch::new();
+            let (direct, _) =
+                is_in_topk_view_masked_with_stats(&tree, &data, None, &w, &q, 10, &mut scratch);
+            let cached = cache.is_in_topk(&tree, &data, &w, &q);
             assert_eq!(direct, cached, "weight {w:?}");
         }
     }
@@ -171,12 +178,12 @@ mod tests {
     #[test]
     fn similar_weights_hit_the_cache() {
         let pts = scatter(5_000, 9);
-        let tree = RTree::bulk_load(2, &pts);
+        let (tree, data) = indexed(2, &pts, &[], 1, false);
         let q = [0.9, 0.9]; // never in any top-10: every probe is negative
         let mut cache = TopkViewCache::new(10, 4);
         for i in 0..200 {
             let w = Weight::from_first_2d(0.4 + 0.2 * (i as f64 / 200.0));
-            let r = cache.is_in_topk(&tree, &w, &q);
+            let r = cache.is_in_topk(&tree, &data, &w, &q);
             assert!(!r);
         }
         assert!(
@@ -190,14 +197,14 @@ mod tests {
     #[test]
     fn capacity_is_bounded_lru() {
         let pts = scatter(500, 3);
-        let tree = RTree::bulk_load(2, &pts);
+        let (tree, data) = indexed(2, &pts, &[], 1, false);
         // A member query point: views can never reject it, so every
         // probe misses and inserts a fresh view.
         let q = [0.0, 0.0];
         let mut cache = TopkViewCache::new(5, 3);
         for x in [0.05, 0.5, 0.95, 0.3] {
             let w = Weight::from_first_2d(x);
-            assert!(cache.is_in_topk(&tree, &w, &q));
+            assert!(cache.is_in_topk(&tree, &data, &w, &q));
         }
         assert_eq!(cache.len(), 3);
         assert!(!cache.is_empty());
@@ -211,12 +218,12 @@ mod tests {
         // A view can only *reject*; members must be confirmed by the
         // index, so correctness never depends on the cache contents.
         let pts = scatter(1_000, 7);
-        let tree = RTree::bulk_load(2, &pts);
+        let (tree, data) = indexed(2, &pts, &[], 1, false);
         let q = [0.01, 0.01]; // in everyone's top-k
         let mut cache = TopkViewCache::new(10, 4);
         for i in 1..30 {
             let w = Weight::from_first_2d(i as f64 / 30.0);
-            assert!(cache.is_in_topk(&tree, &w, &q));
+            assert!(cache.is_in_topk(&tree, &data, &w, &q));
         }
         assert_eq!(cache.hits(), 0);
     }

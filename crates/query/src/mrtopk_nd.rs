@@ -11,6 +11,7 @@
 //! In 2-D the estimate converges to the exact interval measure from
 //! [`crate::mrtopk`], which the tests verify.
 
+use crate::rank::is_in_topk_view_masked_with_stats;
 use wqrtq_geom::{DeltaView, Weight};
 use wqrtq_rtree::{ProbeScratch, RTree};
 
@@ -38,29 +39,13 @@ fn unit(state: &mut u64) -> f64 {
     (splitmix(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Estimates `MRTOPk(q)` by uniform simplex sampling.
+/// Estimates `MRTOPk(q)` by uniform simplex sampling over the live
+/// points of a delta overlay. The sample sequence depends only on
+/// `(dim, samples, seed)`, never on the data, so the estimate is
+/// identical to sampling a dataset rebuilt from the overlay's live rows.
 ///
 /// # Panics
 /// Panics if `q` does not match the tree's dimensionality.
-pub fn monochromatic_reverse_topk_sampled(
-    tree: &RTree,
-    q: &[f64],
-    k: usize,
-    samples: usize,
-    seed: u64,
-) -> MrtopkEstimate {
-    assert_eq!(q.len(), tree.dim(), "query dimension mismatch");
-    let mut scratch = ProbeScratch::new();
-    sampled_with_membership(tree.dim(), samples, seed, |w| {
-        crate::rank::is_in_topk_scratch(tree, w, q, k, &mut scratch)
-    })
-}
-
-/// [`monochromatic_reverse_topk_sampled`] over a delta overlay: the same
-/// deterministic sample sequence (seed-driven, independent of the data),
-/// with each membership verdict decided against the live point set. The
-/// estimate is therefore identical to sampling a dataset rebuilt from
-/// the overlay's live rows.
 pub fn monochromatic_reverse_topk_sampled_view(
     tree: &RTree,
     view: &DeltaView,
@@ -69,22 +54,9 @@ pub fn monochromatic_reverse_topk_sampled_view(
     samples: usize,
     seed: u64,
 ) -> MrtopkEstimate {
-    assert_eq!(q.len(), tree.dim(), "query dimension mismatch");
+    let dim = tree.dim();
+    assert_eq!(q.len(), dim, "query dimension mismatch");
     let mut scratch = ProbeScratch::new();
-    sampled_with_membership(tree.dim(), samples, seed, |w| {
-        crate::rank::is_in_topk_view(tree, view, w, q, k, &mut scratch)
-    })
-}
-
-/// The shared sampling loop: the weight sequence depends only on
-/// `(dim, samples, seed)`, so any two membership oracles that agree on
-/// every weight produce bit-identical estimates.
-fn sampled_with_membership(
-    dim: usize,
-    samples: usize,
-    seed: u64,
-    mut is_member: impl FnMut(&[f64]) -> bool,
-) -> MrtopkEstimate {
     let mut state = seed ^ 0xd1b54a32d192ed03;
     let mut members = Vec::new();
     for _ in 0..samples {
@@ -96,7 +68,7 @@ fn sampled_with_membership(
         for x in &mut w {
             *x /= total;
         }
-        if is_member(&w) {
+        if is_in_topk_view_masked_with_stats(tree, view, None, &w, q, k, &mut scratch).0 {
             members.push(Weight::new(w));
         }
     }
@@ -111,21 +83,15 @@ fn sampled_with_membership(
 mod tests {
     use super::*;
     use crate::mrtopk::monochromatic_reverse_topk_2d;
-
-    fn fig_points() -> Vec<f64> {
-        vec![
-            2.0, 1.0, 6.0, 3.0, 1.0, 9.0, 9.0, 3.0, 7.0, 5.0, 5.0, 8.0, 3.0, 7.0,
-        ]
-    }
+    use crate::test_support::{fig_points, fig_views, indexed, view_of};
 
     #[test]
     fn estimate_converges_to_exact_measure_in_2d() {
         // Exact MRTOP3(q) is [1/6, 3/4]: measure 7/12 ≈ 0.5833 of the
         // simplex (x is uniform on [0,1] under simplex sampling in 2-D).
-        let pts = fig_points();
-        let tree = RTree::bulk_load(2, &pts);
-        let est = monochromatic_reverse_topk_sampled(&tree, &[4.0, 4.0], 3, 4000, 7);
-        let exact = monochromatic_reverse_topk_2d(&pts, &[4.0, 4.0], 3);
+        let [(tree, view), _] = fig_views();
+        let est = monochromatic_reverse_topk_sampled_view(&tree, &view, &[4.0, 4.0], 3, 4000, 7);
+        let exact = monochromatic_reverse_topk_2d(&fig_points(), &[4.0, 4.0], 3);
         let exact_measure: f64 = exact.iter().map(|iv| iv.hi - iv.lo).sum();
         assert!(
             (est.volume_fraction - exact_measure).abs() < 0.04,
@@ -136,10 +102,9 @@ mod tests {
 
     #[test]
     fn members_are_genuine_members() {
-        let pts = fig_points();
-        let tree = RTree::bulk_load(2, &pts);
-        let est = monochromatic_reverse_topk_sampled(&tree, &[4.0, 4.0], 3, 500, 3);
-        let exact = monochromatic_reverse_topk_2d(&pts, &[4.0, 4.0], 3);
+        let [(tree, view), _] = fig_views();
+        let est = monochromatic_reverse_topk_sampled_view(&tree, &view, &[4.0, 4.0], 3, 500, 3);
+        let exact = monochromatic_reverse_topk_2d(&fig_points(), &[4.0, 4.0], 3);
         for w in &est.members {
             assert!(
                 exact.iter().any(|iv| iv.contains(w[0])),
@@ -152,40 +117,35 @@ mod tests {
     fn three_d_estimate_is_sane() {
         // A dominated query qualifies nowhere; a dominating one
         // everywhere.
-        let mut pts = Vec::new();
         let mut state = 5u64;
-        for _ in 0..500 {
-            for _ in 0..3 {
-                pts.push(unit(&mut state) + 0.5);
-            }
-        }
-        let tree = RTree::bulk_load(3, &pts);
-        let everywhere = monochromatic_reverse_topk_sampled(&tree, &[0.1, 0.1, 0.1], 1, 300, 1);
+        let pts: Vec<f64> = (0..1500).map(|_| unit(&mut state) + 0.5).collect();
+        let (tree, view) = indexed(3, &pts, &[], 1, false);
+        let everywhere =
+            monochromatic_reverse_topk_sampled_view(&tree, &view, &[0.1, 0.1, 0.1], 1, 300, 1);
         assert_eq!(everywhere.volume_fraction, 1.0);
-        let nowhere = monochromatic_reverse_topk_sampled(&tree, &[10.0, 10.0, 10.0], 1, 300, 1);
+        let nowhere =
+            monochromatic_reverse_topk_sampled_view(&tree, &view, &[10.0, 10.0, 10.0], 1, 300, 1);
         assert_eq!(nowhere.volume_fraction, 0.0);
         assert!(nowhere.members.is_empty());
     }
 
     #[test]
     fn view_estimate_matches_rebuilt_oracle() {
-        use std::sync::Arc;
-        use wqrtq_geom::FlatPoints;
-        let pts = fig_points();
-        let tree = RTree::bulk_load(2, &pts);
-        let view = DeltaView::new(
-            Arc::new(FlatPoints::from_row_major(2, &pts)),
-            Arc::new(vec![4.5, 2.0, 0.5, 0.5]),
-            Arc::new(vec![7, 8]),
-            Arc::new(vec![6.0, 3.0, 7.0, 5.0]),
-            Arc::new(vec![1, 4]),
-        );
+        let [_, (tree, view)] = fig_views();
         let (live, _) = view.materialize_row_major();
         let rebuilt = RTree::bulk_load(2, &live);
+        let rebuilt_view = view_of(2, &live, &[], &[]);
         for (k, seed) in [(1, 3u64), (3, 9), (5, 42)] {
             let got =
                 monochromatic_reverse_topk_sampled_view(&tree, &view, &[4.0, 4.0], k, 400, seed);
-            let oracle = monochromatic_reverse_topk_sampled(&rebuilt, &[4.0, 4.0], k, 400, seed);
+            let oracle = monochromatic_reverse_topk_sampled_view(
+                &rebuilt,
+                &rebuilt_view,
+                &[4.0, 4.0],
+                k,
+                400,
+                seed,
+            );
             assert_eq!(got.volume_fraction, oracle.volume_fraction, "k {k}");
             assert_eq!(got.members.len(), oracle.members.len());
             for (a, b) in got.members.iter().zip(&oracle.members) {
@@ -196,9 +156,9 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let tree = RTree::bulk_load(2, &fig_points());
-        let a = monochromatic_reverse_topk_sampled(&tree, &[4.0, 4.0], 3, 200, 9);
-        let b = monochromatic_reverse_topk_sampled(&tree, &[4.0, 4.0], 3, 200, 9);
+        let [(tree, view), _] = fig_views();
+        let a = monochromatic_reverse_topk_sampled_view(&tree, &view, &[4.0, 4.0], 3, 200, 9);
+        let b = monochromatic_reverse_topk_sampled_view(&tree, &view, &[4.0, 4.0], 3, 200, 9);
         assert_eq!(a.volume_fraction, b.volume_fraction);
         assert_eq!(a.members.len(), b.members.len());
     }

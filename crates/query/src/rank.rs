@@ -4,32 +4,19 @@
 //! `rank(q, w) ≤ k` — the membership rule of Definitions 2/3 with the
 //! paper's tie semantics (`f(w, q) ≤ f(w, p)` keeps `q` in on a tie).
 //!
-//! Three engines answer it:
+//! Over a [`DeltaView`] (a plain view for an unmutated dataset):
 //!
-//! * [`rank_of_point`] — exact counting over the R-tree (subtree counts
-//!   make it sub-linear);
-//! * [`is_in_topk`] — the *early-exit* membership probe: a best-first
-//!   descent that stops the moment `k` better points are known **or**
-//!   the smallest remaining MBR lower bound reaches `f(w, q)` (at which
-//!   point the count is exact and `count < k` proves membership);
-//! * [`rank_of_flat`] / [`rank_of_point_scan`] — flat scans: the fused
-//!   column-major kernel of [`FlatPoints`] and the naive row-major
-//!   oracle it is validated against.
+//! * [`rank_of_point_view`] — exact counting over the R-tree (subtree
+//!   counts make it sub-linear) plus the `O(Δ)` overlay corrections;
+//! * [`is_in_topk_view_masked_with_stats`] — the *early-exit* membership
+//!   probe: a best-first descent that stops the moment enough better
+//!   points are known **or** the smallest remaining MBR lower bound
+//!   reaches `f(w, q)`, optionally consulting a [`DominanceIndex`];
+//! * [`rank_of_point_scan`] — the naive row-major scan every index path
+//!   is validated against.
 
-use wqrtq_geom::{score, DeltaView, FlatPoints};
+use wqrtq_geom::{score, DeltaView};
 use wqrtq_rtree::{DominanceIndex, ProbeScratch, RTree};
-
-/// Exact rank of `q` under `w` using counted R-tree pruning.
-pub fn rank_of_point(tree: &RTree, w: &[f64], q: &[f64]) -> usize {
-    let s = score(w, q);
-    tree.count_score_below(w, s, true) + 1
-}
-
-/// Exact rank of `q` over a column-major [`FlatPoints`] store via the
-/// fused count kernel (`f(w, q)` is computed once, outside the scan).
-pub fn rank_of_flat(flat: &FlatPoints, w: &[f64], q: &[f64]) -> usize {
-    flat.rank_of(w, q)
-}
 
 /// Linear-scan rank baseline over a flat row-major `n × dim` buffer —
 /// the correctness oracle for the tree and kernel paths. The query score
@@ -44,43 +31,6 @@ pub fn rank_of_point_scan(points: &[f64], w: &[f64], q: &[f64]) -> usize {
     points.chunks_exact(dim).filter(|p| score(w, p) < s).count() + 1
 }
 
-/// Decides `q ∈ TOPk(w)` without computing the exact rank, via the
-/// best-first early-exit membership probe. Allocates a fresh traversal
-/// queue; hot loops should use [`is_in_topk_scratch`].
-pub fn is_in_topk(tree: &RTree, w: &[f64], q: &[f64], k: usize) -> bool {
-    let mut scratch = ProbeScratch::new();
-    is_in_topk_scratch(tree, w, q, k, &mut scratch)
-}
-
-/// [`is_in_topk`] with a caller-owned reusable [`ProbeScratch`] — zero
-/// allocations per call once the queue has grown to the tree's depth.
-pub fn is_in_topk_scratch(
-    tree: &RTree,
-    w: &[f64],
-    q: &[f64],
-    k: usize,
-    scratch: &mut ProbeScratch,
-) -> bool {
-    is_in_topk_with_stats(tree, w, q, k, scratch).0
-}
-
-/// [`is_in_topk_scratch`], additionally reporting the index nodes the
-/// probe expanded (the paper's `|RT|` cost term, for serving metrics).
-pub fn is_in_topk_with_stats(
-    tree: &RTree,
-    w: &[f64],
-    q: &[f64],
-    k: usize,
-    scratch: &mut ProbeScratch,
-) -> (bool, usize) {
-    if k == 0 {
-        return (false, 0);
-    }
-    let s = score(w, q);
-    let probe = tree.probe_topk_membership(w, s, k, scratch, None);
-    (probe.in_topk, probe.nodes_visited)
-}
-
 /// Exact rank of `q` over a delta overlay: the base R-tree's counted
 /// pruning plus the `O(Δ)` overlay corrections (appended rows add,
 /// tombstoned rows subtract). `tree` must be the index of `view`'s base.
@@ -90,100 +40,29 @@ pub fn rank_of_point_view(tree: &RTree, view: &DeltaView, w: &[f64], q: &[f64]) 
     base_all - view.count_better_dead(w, s) + view.count_better_delta(w, s) + 1
 }
 
-/// Decides `q ∈ TOPk(w)` over a delta overlay without an exact rank:
-/// the overlay corrections shift the base probe's count target, so the
-/// early-exit membership probe still decides the live verdict exactly.
+/// Decides `q ∈ TOPk(w)` over a delta overlay without an exact rank,
+/// reporting the index nodes the probe expanded (the paper's `|RT|`
+/// cost term). `scratch` is the reusable traversal queue: zero
+/// allocations per call once it has grown to the tree's depth.
 ///
 /// `q` is a live member ⟺ `live_better < k` where
 /// `live_better = base_all − dead_better + delta_better`; substituting
 /// gives `base_all < k − delta_better + dead_better`, which is precisely
-/// the probe with an adjusted `k`. When the delta alone already supplies
-/// `k` better points the verdict is known without touching the index.
-pub fn is_in_topk_view(
-    tree: &RTree,
-    view: &DeltaView,
-    w: &[f64],
-    q: &[f64],
-    k: usize,
-    scratch: &mut ProbeScratch,
-) -> bool {
-    is_in_topk_view_with_stats(tree, view, w, q, k, scratch).0
-}
-
-/// [`is_in_topk_view`], additionally reporting the index nodes expanded.
-pub fn is_in_topk_view_with_stats(
-    tree: &RTree,
-    view: &DeltaView,
-    w: &[f64],
-    q: &[f64],
-    k: usize,
-    scratch: &mut ProbeScratch,
-) -> (bool, usize) {
-    if k == 0 {
-        return (false, 0);
-    }
-    let s = score(w, q);
-    let d_add = view.count_better_delta(w, s);
-    if d_add >= k {
-        return (false, 0);
-    }
-    let cap = k - d_add + view.count_better_dead(w, s);
-    let probe = tree.probe_topk_membership(w, s, cap, scratch, None);
-    (probe.in_topk, probe.nodes_visited)
-}
-
-/// [`is_in_topk_scratch`] consulting a [`DominanceIndex`] built from
-/// `tree`: bit-identical verdicts, with masked points and all-masked
-/// subtrees skipped. Falls back to the unmasked probe when the mask's
-/// build cap cannot certify exclusion at `k`.
-pub fn is_in_topk_masked(
-    tree: &RTree,
-    dom: &DominanceIndex,
-    w: &[f64],
-    q: &[f64],
-    k: usize,
-    scratch: &mut ProbeScratch,
-) -> bool {
-    if k == 0 {
-        return false;
-    }
-    let s = score(w, q);
-    // Culprit-plane fast path: a capped count over the k-skyband plane
-    // decides the verdict without touching the index (see
-    // `DominanceIndex::plane_outranked` for the dominance argument).
-    if let Some(outranked) = dom.plane_outranked(w, s, k) {
-        return !outranked;
-    }
-    if !dom.usable_for(k) {
-        return tree.probe_topk_membership(w, s, k, scratch, None).in_topk;
-    }
-    tree.probe_topk_membership_masked(w, s, k, k, dom, scratch, None)
-        .in_topk
-}
-
-/// [`is_in_topk_view`] consulting a [`DominanceIndex`] built from the
-/// view's *base* tree. Deletes inflate the exclusion threshold
+/// the base probe with an adjusted count target. When the delta alone
+/// already supplies `k` better points the verdict is known without
+/// touching the index.
+///
+/// With `dom` (a [`DominanceIndex`] built from the view's *base* tree)
+/// the verdict is bit-identical, with masked points and all-masked
+/// subtrees skipped. Deletes inflate the exclusion threshold
 /// (`k_eff = adjusted cap + tombstones`, so every exclusion still has
-/// cap-many live dominators); appends never join the mask. Bit-identical
-/// to the unmasked path — the differential proptests below prove it.
-pub fn is_in_topk_view_masked(
-    tree: &RTree,
-    view: &DeltaView,
-    dom: &DominanceIndex,
-    w: &[f64],
-    q: &[f64],
-    k: usize,
-    scratch: &mut ProbeScratch,
-) -> bool {
-    is_in_topk_view_masked_with_stats(tree, view, dom, w, q, k, scratch).0
-}
-
-/// [`is_in_topk_view_masked`], additionally reporting the index nodes
-/// expanded.
+/// cap-many live dominators); appends never join the mask. The probe
+/// falls back to the unmasked traversal when the mask's build cap
+/// cannot certify exclusion at `k_eff`.
 pub fn is_in_topk_view_masked_with_stats(
     tree: &RTree,
     view: &DeltaView,
-    dom: &DominanceIndex,
+    dom: Option<&DominanceIndex>,
     w: &[f64],
     q: &[f64],
     k: usize,
@@ -201,14 +80,13 @@ pub fn is_in_topk_view_masked_with_stats(
     // Culprit-plane fast path over the base: dead better points are
     // counted by the plane too, so the inflated cap decides the live
     // verdict exactly (see `rta_over_order_view_masked`).
-    if let Some(outranked) = dom.plane_outranked(w, s, cap) {
+    if let Some(outranked) = dom.and_then(|d| d.plane_outranked(w, s, cap)) {
         return (!outranked, 0);
     }
     let k_eff = k - d_add + view.tombstone_len();
-    let probe = if dom.usable_for(k_eff) {
-        tree.probe_topk_membership_masked(w, s, cap, k_eff, dom, scratch, None)
-    } else {
-        tree.probe_topk_membership(w, s, cap, scratch, None)
+    let probe = match dom.filter(|d| d.usable_for(k_eff)) {
+        Some(d) => tree.probe_topk_membership_masked(w, s, cap, k_eff, d, scratch, None),
+        None => tree.probe_topk_membership(w, s, cap, scratch, None),
     };
     (probe.in_topk, probe.nodes_visited)
 }
@@ -216,61 +94,43 @@ pub fn is_in_topk_view_masked_with_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::{fig_points, fig_views, indexed};
     use proptest::prelude::*;
-    use std::sync::Arc;
 
-    fn fig_points() -> Vec<f64> {
-        vec![
-            2.0, 1.0, 6.0, 3.0, 1.0, 9.0, 9.0, 3.0, 7.0, 5.0, 5.0, 8.0, 3.0, 7.0,
-        ]
+    const FIG_WEIGHTS: [[f64; 2]; 4] = [[0.1, 0.9], [0.5, 0.5], [0.3, 0.7], [0.9, 0.1]];
+
+    fn member(tree: &RTree, view: &DeltaView, w: &[f64], q: &[f64], k: usize) -> bool {
+        let mut scratch = ProbeScratch::new();
+        is_in_topk_view_masked_with_stats(tree, view, None, w, q, k, &mut scratch).0
     }
 
     #[test]
     fn ranks_match_figure_1c() {
-        let pts = fig_points();
-        let t = RTree::bulk_load(2, &pts);
+        let [(t, v), _] = fig_views();
         let q = [4.0, 4.0];
         // Kevin (0.1,0.9): p1,p2,p4 better → rank 4 (why-not!).
-        assert_eq!(rank_of_point(&t, &[0.1, 0.9], &q), 4);
+        assert_eq!(rank_of_point_view(&t, &v, &[0.1, 0.9], &q), 4);
         // Tony (0.5,0.5): only p1 (1.5) beats q (4.0); p2 scores 4.5.
         // TOP3(w2) = {p1, q, p2} per Figure 1(c) → rank 2 → in BRTOP3.
-        assert_eq!(rank_of_point(&t, &[0.5, 0.5], &q), 2);
+        assert_eq!(rank_of_point_view(&t, &v, &[0.5, 0.5], &q), 2);
         // Anna (0.3,0.7): scores 1.3,3.9,6.6,4.8,5.6,7.1,5.8 vs q=4 → rank 3.
-        assert_eq!(rank_of_point(&t, &[0.3, 0.7], &q), 3);
+        assert_eq!(rank_of_point_view(&t, &v, &[0.3, 0.7], &q), 3);
         // Julia (0.9,0.1): p1,p3,p7 better → rank 4 (why-not!).
-        assert_eq!(rank_of_point(&t, &[0.9, 0.1], &q), 4);
-    }
-
-    #[test]
-    fn scan_tree_and_flat_kernel_ranks_agree_on_figure_1() {
-        // Regression: all three rank engines must agree point-for-point
-        // on the paper's dataset, for every dataset point and the query.
-        let pts = fig_points();
-        let t = RTree::bulk_load(2, &pts);
-        let flat = FlatPoints::from_row_major(2, &pts);
-        let weights = [[0.1, 0.9], [0.5, 0.5], [0.3, 0.7], [0.9, 0.1]];
-        let mut queries: Vec<[f64; 2]> = pts.chunks_exact(2).map(|p| [p[0], p[1]]).collect();
-        queries.push([4.0, 4.0]);
-        for w in &weights {
-            for q in &queries {
-                let scan = rank_of_point_scan(&pts, w, q);
-                assert_eq!(rank_of_point(&t, w, q), scan, "tree vs scan {w:?} {q:?}");
-                assert_eq!(rank_of_flat(&flat, w, q), scan, "flat vs scan {w:?} {q:?}");
-            }
-        }
+        assert_eq!(rank_of_point_view(&t, &v, &[0.9, 0.1], &q), 4);
     }
 
     #[test]
     fn membership_matches_paper_reverse_top3() {
-        let t = RTree::bulk_load(2, &fig_points());
+        let [(t, v), _] = fig_views();
         let q = [4.0, 4.0];
-        assert!(!is_in_topk(&t, &[0.1, 0.9], &q, 3)); // Kevin
-        assert!(is_in_topk(&t, &[0.5, 0.5], &q, 3)); // Tony
-        assert!(is_in_topk(&t, &[0.3, 0.7], &q, 3)); // Anna
-        assert!(!is_in_topk(&t, &[0.9, 0.1], &q, 3)); // Julia
-                                                      // Everyone admits q at k = 4 (Lemma 4: k'max = 4 in the example).
-        for w in [[0.1, 0.9], [0.5, 0.5], [0.3, 0.7], [0.9, 0.1]] {
-            assert!(is_in_topk(&t, &w, &q, 4));
+        assert!(!member(&t, &v, &[0.1, 0.9], &q, 3)); // Kevin
+        assert!(member(&t, &v, &[0.5, 0.5], &q, 3)); // Tony
+        assert!(member(&t, &v, &[0.3, 0.7], &q, 3)); // Anna
+        assert!(!member(&t, &v, &[0.9, 0.1], &q, 3)); // Julia
+
+        // Everyone admits q at k = 4 (Lemma 4: k'max = 4 in the example).
+        for w in FIG_WEIGHTS {
+            assert!(member(&t, &v, &w, &q, 4));
         }
     }
 
@@ -278,127 +138,78 @@ mod tests {
     fn tie_keeps_query_in_topk() {
         // A point tying with q does not push q out (≤ semantics).
         let pts = vec![1.0, 1.0, 2.0, 2.0];
-        let t = RTree::bulk_load(2, &pts);
+        let (t, v) = indexed(2, &pts, &[], 1, false);
         let q = [2.0, 2.0]; // ties with the second point under any weight
-        assert_eq!(rank_of_point(&t, &[0.5, 0.5], &q), 2);
-        assert!(is_in_topk(&t, &[0.5, 0.5], &q, 2));
-        let flat = FlatPoints::from_row_major(2, &pts);
-        assert_eq!(rank_of_flat(&flat, &[0.5, 0.5], &q), 2);
-    }
-
-    #[test]
-    fn k_zero_is_never_member() {
-        let t = RTree::bulk_load(2, &fig_points());
-        assert!(!is_in_topk(&t, &[0.5, 0.5], &[0.0, 0.0], 0));
+        assert_eq!(rank_of_point_view(&t, &v, &[0.5, 0.5], &q), 2);
+        assert!(member(&t, &v, &[0.5, 0.5], &q, 2));
+        assert_eq!(v.rank_of(&[0.5, 0.5], &q), 2);
     }
 
     #[test]
     fn stats_variant_reports_nodes() {
-        let t = RTree::bulk_load_with_fanout(2, &fig_points(), 4);
+        let [(t, v), _] = fig_views();
         let mut scratch = ProbeScratch::new();
-        let (member, nodes) = is_in_topk_with_stats(&t, &[0.1, 0.9], &[4.0, 4.0], 3, &mut scratch);
+        let (member, nodes) = is_in_topk_view_masked_with_stats(
+            &t,
+            &v,
+            None,
+            &[0.1, 0.9],
+            &[4.0, 4.0],
+            3,
+            &mut scratch,
+        );
         assert!(!member);
         assert!(nodes > 0);
     }
 
-    /// Builds an overlay over the paper dataset (delete p2/p5, append two
-    /// rows) and the equivalent rebuilt-from-scratch flat buffer.
-    fn overlaid_fig() -> (RTree, DeltaView, Vec<f64>) {
-        let pts = fig_points();
-        let tree = RTree::bulk_load_with_fanout(2, &pts, 4);
-        let view = DeltaView::new(
-            Arc::new(FlatPoints::from_row_major(2, &pts)),
-            Arc::new(vec![4.5, 2.0, 0.5, 0.5]),
-            Arc::new(vec![7, 8]),
-            Arc::new(vec![6.0, 3.0, 7.0, 5.0]),
-            Arc::new(vec![1, 4]),
-        );
-        let (live, _) = view.materialize_row_major();
-        (tree, view, live)
-    }
-
+    /// Every rank engine agrees with the scan over the live rows, on the
+    /// plain paper dataset and on an overlay of it, for every dataset
+    /// point and a few off-dataset queries, at every `k` (including 0).
     #[test]
     fn view_rank_and_membership_match_rebuilt_scan() {
-        let (tree, view, live) = overlaid_fig();
-        let mut scratch = ProbeScratch::new();
-        for w in [[0.1, 0.9], [0.5, 0.5], [0.3, 0.7], [0.9, 0.1]] {
-            for q in [[4.0, 4.0], [1.0, 1.0], [0.4, 0.6], [9.0, 9.0]] {
-                let oracle = rank_of_point_scan(&live, &w, &q);
-                assert_eq!(rank_of_point_view(&tree, &view, &w, &q), oracle);
-                for k in 0..=9 {
-                    assert_eq!(
-                        is_in_topk_view(&tree, &view, &w, &q, k, &mut scratch),
-                        k > 0 && oracle <= k,
-                        "w {w:?} q {q:?} k {k}"
-                    );
+        let mut queries: Vec<[f64; 2]> =
+            fig_points().chunks_exact(2).map(|p| [p[0], p[1]]).collect();
+        queries.extend([[4.0, 4.0], [1.0, 1.0], [0.4, 0.6], [9.0, 9.0]]);
+        for (tree, view) in fig_views() {
+            let (live, _) = view.materialize_row_major();
+            for w in FIG_WEIGHTS {
+                for q in &queries {
+                    let oracle = rank_of_point_scan(&live, &w, q);
+                    assert_eq!(rank_of_point_view(&tree, &view, &w, q), oracle);
+                    assert_eq!(view.rank_of(&w, q), oracle, "flat kernel {w:?} {q:?}");
+                    for k in 0..=9 {
+                        assert_eq!(
+                            member(&tree, &view, &w, q, k),
+                            k > 0 && oracle <= k,
+                            "w {w:?} q {q:?} k {k}"
+                        );
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn plain_view_agrees_with_plain_primitives() {
-        let pts = fig_points();
-        let tree = RTree::bulk_load(2, &pts);
-        let view = DeltaView::plain(Arc::new(FlatPoints::from_row_major(2, &pts)));
-        let mut scratch = ProbeScratch::new();
-        let q = [4.0, 4.0];
-        for w in [[0.1, 0.9], [0.5, 0.5]] {
-            assert_eq!(
-                rank_of_point_view(&tree, &view, &w, &q),
-                rank_of_point(&tree, &w, &q)
-            );
-            for k in 1..=5 {
-                assert_eq!(
-                    is_in_topk_view(&tree, &view, &w, &q, k, &mut scratch),
-                    is_in_topk(&tree, &w, &q, k)
-                );
-            }
-        }
-    }
-
-    /// Injects exact score ties at the k boundary: some points are copies
-    /// of q (tie under every weight), some share q's score under the
-    /// specific w by construction.
-    fn with_boundary_ties(mut pts: Vec<(f64, f64)>, q: (f64, f64), copies: usize) -> Vec<f64> {
-        for _ in 0..copies {
-            pts.push(q);
-        }
-        pts.iter().flat_map(|(a, b)| [*a, *b]).collect()
-    }
-
-    #[test]
-    fn masked_membership_matches_unmasked_on_paper_data() {
-        let t = RTree::bulk_load_with_fanout(2, &fig_points(), 4);
-        let dom = DominanceIndex::build(&t);
-        let mut scratch = ProbeScratch::new();
-        for w in [[0.1, 0.9], [0.5, 0.5], [0.3, 0.7], [0.9, 0.1]] {
-            for q in [[4.0, 4.0], [1.0, 1.0], [9.0, 9.0]] {
-                for k in 0..=8 {
-                    assert_eq!(
-                        is_in_topk_masked(&t, &dom, &w, &q, k, &mut scratch),
-                        is_in_topk(&t, &w, &q, k),
-                        "w {w:?} q {q:?} k {k}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn masked_view_membership_matches_unmasked_on_overlay() {
-        let (tree, view, live) = overlaid_fig();
-        let dom = DominanceIndex::build(&tree);
-        let mut scratch = ProbeScratch::new();
-        for w in [[0.1, 0.9], [0.5, 0.5], [0.3, 0.7], [0.9, 0.1]] {
-            for q in [[4.0, 4.0], [1.0, 1.0], [0.4, 0.6], [9.0, 9.0]] {
-                let oracle = rank_of_point_scan(&live, &w, &q);
-                for k in 0..=9 {
-                    assert_eq!(
-                        is_in_topk_view_masked(&tree, &view, &dom, &w, &q, k, &mut scratch),
-                        k > 0 && oracle <= k,
-                        "w {w:?} q {q:?} k {k}"
-                    );
+    fn masked_view_membership_matches_unmasked() {
+        for (tree, view) in fig_views() {
+            let (live, _) = view.materialize_row_major();
+            let dom = DominanceIndex::build(&tree);
+            let mut scratch = ProbeScratch::new();
+            for w in FIG_WEIGHTS {
+                for q in [[4.0, 4.0], [1.0, 1.0], [0.4, 0.6], [9.0, 9.0]] {
+                    let oracle = rank_of_point_scan(&live, &w, &q);
+                    for k in 0..=9 {
+                        let (got, _) = is_in_topk_view_masked_with_stats(
+                            &tree,
+                            &view,
+                            Some(&dom),
+                            &w,
+                            &q,
+                            k,
+                            &mut scratch,
+                        );
+                        assert_eq!(got, k > 0 && oracle <= k, "w {w:?} q {q:?} k {k}");
+                    }
                 }
             }
         }
@@ -407,69 +218,40 @@ mod tests {
     #[test]
     fn masked_membership_falls_back_when_cap_too_small() {
         // A mask built with cap = 1 cannot certify exclusion for k ≥ 2;
-        // the wrapper must fall back to the unmasked probe, never panic
-        // or misclassify.
-        let t = RTree::bulk_load_with_fanout(2, &fig_points(), 4);
+        // the probe must fall back to the unmasked traversal, never
+        // panic or misclassify.
+        let [(t, v), _] = fig_views();
         let dom = DominanceIndex::build_with_cap(&t, 1);
         let mut scratch = ProbeScratch::new();
         for k in 1..=6 {
             for w in [[0.5, 0.5], [0.1, 0.9]] {
+                let q = [4.0, 4.0];
                 assert_eq!(
-                    is_in_topk_masked(&t, &dom, &w, &[4.0, 4.0], k, &mut scratch),
-                    is_in_topk(&t, &w, &[4.0, 4.0], k),
+                    is_in_topk_view_masked_with_stats(&t, &v, Some(&dom), &w, &q, k, &mut scratch)
+                        .0,
+                    member(&t, &v, &w, &q, k),
                 );
             }
         }
     }
 
+    /// Appends `copies` exact copies of `q` to `pts`: they tie with q
+    /// under every weight, right at the k boundary.
+    fn with_boundary_ties(mut pts: Vec<(f64, f64)>, q: (f64, f64), copies: usize) -> Vec<f64> {
+        for _ in 0..copies {
+            pts.push(q);
+        }
+        pts.iter().flat_map(|(a, b)| [*a, *b]).collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
-        #[test]
-        fn tree_rank_matches_scan(
-            pts in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 1..300),
-            q in (0.0f64..10.0, 0.0f64..10.0),
-            raw in (0.01f64..1.0, 0.01f64..1.0),
-        ) {
-            let flat: Vec<f64> = pts.iter().flat_map(|(a, b)| [*a, *b]).collect();
-            let t = RTree::bulk_load_with_fanout(2, &flat, 8);
-            let s = raw.0 + raw.1;
-            let w = [raw.0 / s, raw.1 / s];
-            let qv = [q.0, q.1];
-            let scan = rank_of_point_scan(&flat, &w, &qv);
-            prop_assert_eq!(rank_of_point(&t, &w, &qv), scan);
-            let fp = FlatPoints::from_row_major(2, &flat);
-            prop_assert_eq!(rank_of_flat(&fp, &w, &qv), scan);
-        }
 
-        #[test]
-        fn early_exit_membership_matches_naive_count(
-            pts in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 1..250),
-            q in (0.0f64..10.0, 0.0f64..10.0),
-            raw in (0.01f64..1.0, 0.01f64..1.0),
-            k in 1usize..14,
-            tie_copies in 0usize..4,
-        ) {
-            // Exact-tie coverage at the k boundary: duplicate q into the
-            // dataset; under the paper's strict semantics those copies
-            // never count against q, whatever k is.
-            let flat = with_boundary_ties(pts, q, tie_copies);
-            let t = RTree::bulk_load_with_fanout(2, &flat, 8);
-            let s = raw.0 + raw.1;
-            let w = [raw.0 / s, raw.1 / s];
-            let qv = [q.0, q.1];
-            let sq = score(&w, &qv);
-            let naive_better = flat
-                .chunks_exact(2)
-                .filter(|p| score(&w, p) < sq)
-                .count();
-            let mut scratch = ProbeScratch::new();
-            prop_assert_eq!(
-                is_in_topk_scratch(&t, &w, &qv, k, &mut scratch),
-                naive_better < k,
-                "naive better-count {} vs k {}", naive_better, k
-            );
-        }
-
+        /// Rank and membership against a scan of the live rows, on a
+        /// plain view (`mutate` false) or an overlay that tombstones
+        /// every `del_stride`-th base row and appends `extra`. Copies of
+        /// q in the base put exact ties at the k boundary; under the
+        /// strict semantics they never count against q.
         #[test]
         fn view_primitives_match_rebuilt_oracle(
             pts in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 4..200),
@@ -478,26 +260,12 @@ mod tests {
             raw in (0.01f64..1.0, 0.01f64..1.0),
             k in 1usize..12,
             del_stride in 2usize..6,
+            tie_copies in 0usize..4,
+            mutate in proptest::bool::ANY,
         ) {
-            let flat: Vec<f64> = pts.iter().flat_map(|(a, b)| [*a, *b]).collect();
-            let tree = RTree::bulk_load_with_fanout(2, &flat, 8);
-            let base = Arc::new(FlatPoints::from_row_major(2, &flat));
-            // Tombstone every del_stride-th base row; append `extra`.
-            let dead_ids: Vec<u32> = (0..pts.len() as u32).step_by(del_stride).collect();
-            let dead_rows: Vec<f64> = dead_ids
-                .iter()
-                .flat_map(|&i| [pts[i as usize].0, pts[i as usize].1])
-                .collect();
-            let delta_rows: Vec<f64> = extra.iter().flat_map(|(a, b)| [*a, *b]).collect();
-            let delta_ids: Vec<u32> =
-                (0..extra.len() as u32).map(|i| pts.len() as u32 + i).collect();
-            let view = DeltaView::new(
-                base,
-                Arc::new(delta_rows),
-                Arc::new(delta_ids),
-                Arc::new(dead_rows),
-                Arc::new(dead_ids),
-            );
+            let flat = with_boundary_ties(pts, q, tie_copies);
+            let extra: Vec<f64> = extra.iter().flat_map(|(a, b)| [*a, *b]).collect();
+            let (tree, view) = indexed(2, &flat, &extra, del_stride, mutate);
             let (live, _) = view.materialize_row_major();
             let s = raw.0 + raw.1;
             let w = [raw.0 / s, raw.1 / s];
@@ -505,11 +273,7 @@ mod tests {
             let oracle = rank_of_point_scan(&live, &w, &qv);
             prop_assert_eq!(rank_of_point_view(&tree, &view, &w, &qv), oracle);
             prop_assert_eq!(view.rank_of(&w, &qv), oracle);
-            let mut scratch = ProbeScratch::new();
-            prop_assert_eq!(
-                is_in_topk_view(&tree, &view, &w, &qv, k, &mut scratch),
-                oracle <= k
-            );
+            prop_assert_eq!(member(&tree, &view, &w, &qv, k), oracle <= k);
             prop_assert_eq!(view.is_in_topk(&w, &qv, k), oracle <= k);
         }
 
@@ -522,69 +286,31 @@ mod tests {
             k in 1usize..12,
             del_stride in 2usize..6,
             tie_copies in 0usize..4,
+            mutate in proptest::bool::ANY,
         ) {
             // Same overlay construction as view_primitives_match_rebuilt_oracle,
             // plus exact copies of q in the base so ties sit right at the
             // masked/unmasked boundary.
-            let flat = with_boundary_ties(pts.clone(), q, tie_copies);
-            let n_base = flat.len() / 2;
-            let tree = RTree::bulk_load_with_fanout(2, &flat, 8);
+            let flat = with_boundary_ties(pts, q, tie_copies);
+            let extra: Vec<f64> = extra.iter().flat_map(|(a, b)| [*a, *b]).collect();
+            let (tree, view) = indexed(2, &flat, &extra, del_stride, mutate);
             let dom = DominanceIndex::build(&tree);
-            let base = Arc::new(FlatPoints::from_row_major(2, &flat));
-            let dead_ids: Vec<u32> = (0..n_base as u32).step_by(del_stride).collect();
-            let dead_rows: Vec<f64> = dead_ids
-                .iter()
-                .flat_map(|&i| [flat[2 * i as usize], flat[2 * i as usize + 1]])
-                .collect();
-            let delta_rows: Vec<f64> = extra.iter().flat_map(|(a, b)| [*a, *b]).collect();
-            let delta_ids: Vec<u32> =
-                (0..extra.len() as u32).map(|i| n_base as u32 + i).collect();
-            let view = DeltaView::new(
-                base,
-                Arc::new(delta_rows),
-                Arc::new(delta_ids),
-                Arc::new(dead_rows),
-                Arc::new(dead_ids),
-            );
             let s = raw.0 + raw.1;
             let w = [raw.0 / s, raw.1 / s];
-            let qv = [q.0, q.1];
             let mut scratch = ProbeScratch::new();
             // The query point itself probes the tie boundary; also probe a
             // handful of dataset points.
-            let mut queries = vec![qv];
+            let mut queries = vec![[q.0, q.1]];
             for p in flat.chunks_exact(2).take(6) {
                 queries.push([p[0], p[1]]);
             }
             for qq in &queries {
-                let unmasked = is_in_topk_view(&tree, &view, &w, qq, k, &mut scratch);
-                prop_assert_eq!(
-                    is_in_topk_view_masked(&tree, &view, &dom, &w, qq, k, &mut scratch),
-                    unmasked,
-                    "view masked vs unmasked, q {:?} k {}", qq, k
+                let unmasked = member(&tree, &view, &w, qq, k);
+                let (masked, _) = is_in_topk_view_masked_with_stats(
+                    &tree, &view, Some(&dom), &w, qq, k, &mut scratch,
                 );
-                prop_assert_eq!(
-                    is_in_topk_masked(&tree, &dom, &w, qq, k, &mut scratch),
-                    is_in_topk_scratch(&tree, &w, qq, k, &mut scratch),
-                    "plain masked vs unmasked, q {:?} k {}", qq, k
-                );
+                prop_assert_eq!(masked, unmasked, "masked vs unmasked, q {:?} k {}", qq, k);
             }
-        }
-
-        #[test]
-        fn membership_consistent_with_rank(
-            pts in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 1..200),
-            q in (0.0f64..10.0, 0.0f64..10.0),
-            k in 1usize..12,
-        ) {
-            let flat: Vec<f64> = pts.iter().flat_map(|(a, b)| [*a, *b]).collect();
-            let t = RTree::bulk_load_with_fanout(2, &flat, 8);
-            let w = [0.4, 0.6];
-            let qv = [q.0, q.1];
-            prop_assert_eq!(
-                is_in_topk(&t, &w, &qv, k),
-                rank_of_point(&t, &w, &qv) <= k
-            );
         }
     }
 }

@@ -11,11 +11,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use wqrtq::core::framework::{RefinedQuery, Wqrtq};
 use wqrtq::data::realistic::household_like_scaled;
-use wqrtq::geom::Weight;
-use wqrtq::query::brtopk::bichromatic_reverse_topk_rta_with_stats;
-use wqrtq::query::rank::rank_of_point;
+use wqrtq::geom::{DeltaView, FlatPoints, Weight};
+use wqrtq::query::brtopk::{rta_over_order_view_masked, rta_sorted_order, RtaScratch};
+use wqrtq::query::rank::rank_of_point_view;
 use wqrtq::rtree::RTree;
 
 fn main() {
@@ -23,6 +24,10 @@ fn main() {
     // Competing tariff bundles (6 cost attributes, smaller = better).
     let market = household_like_scaled(20_000, 11);
     let tree = RTree::bulk_load(market.dim, &market.coords);
+    let view = DeltaView::plain(Arc::new(FlatPoints::from_row_major(
+        market.dim,
+        &market.coords,
+    )));
 
     // Household sensitivity profiles: simplex weights around archetypes.
     let mut rng = StdRng::seed_from_u64(99);
@@ -39,7 +44,10 @@ fn main() {
         base.iter().map(|c| (c * 0.98).max(0.0)).collect()
     };
 
-    let (result, stats) = bichromatic_reverse_topk_rta_with_stats(&tree, &customers, &q, k);
+    let order = rta_sorted_order(&customers);
+    let mut scratch = RtaScratch::new();
+    let (result, stats) =
+        rta_over_order_view_masked(&tree, &view, &customers, &order, &q, k, None, &mut scratch);
     println!(
         "reverse top-{k}: {} of {} households shortlist the bundle",
         result.len(),
@@ -54,7 +62,7 @@ fn main() {
     // q is closest to k (the most winnable).
     let mut lost: Vec<(usize, usize)> = (0..customers.len())
         .filter(|i| !result.contains(i))
-        .map(|i| (i, rank_of_point(&tree, &customers[i], &q)))
+        .map(|i| (i, rank_of_point_view(&tree, &view, &customers[i], &q)))
         .collect();
     lost.sort_by_key(|&(_, r)| r);
     let segment: Vec<Weight> = lost
@@ -67,7 +75,7 @@ fn main() {
         lost.iter().take(3).map(|&(_, r)| r).collect::<Vec<_>>()
     );
 
-    let wqrtq = Wqrtq::new(&tree, &q, k).expect("dimensions match");
+    let wqrtq = Wqrtq::with_view(&tree, view, &q, k).expect("dimensions match");
 
     for (i, w) in segment.iter().enumerate() {
         let e = wqrtq.explain(w, 3);

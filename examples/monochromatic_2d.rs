@@ -8,9 +8,10 @@
 //!
 //! Run with: `cargo run --release --example monochromatic_2d`
 
-use wqrtq::core::mqp::mqp;
+use std::sync::Arc;
+use wqrtq::core::mqp::mqp_view;
 use wqrtq::data::synthetic::independent;
-use wqrtq::geom::Weight;
+use wqrtq::geom::{DeltaView, FlatPoints, Weight};
 use wqrtq::query::mrtopk::{monochromatic_reverse_topk_2d, weight_in_result};
 use wqrtq::rtree::RTree;
 
@@ -28,6 +29,7 @@ fn main() {
     let k = 15;
     let data = independent(5_000, 2, 31);
     let tree = RTree::bulk_load(2, &data.coords);
+    let view = DeltaView::plain(Arc::new(FlatPoints::from_row_major(2, &data.coords)));
 
     // A product that is strong on attribute 0, weaker on attribute 1:
     // it qualifies for price-focused weights but not balanced ones.
@@ -51,7 +53,7 @@ fn main() {
     // Refine by modifying q (solution 1 works identically for the
     // monochromatic variant — Figure 3(a) of the paper).
     let wm = vec![Weight::from_first_2d(why_not_x)];
-    let res = mqp(&tree, &q, k, &wm).expect("refinement succeeds");
+    let res = mqp_view(&tree, &view, &q, k, &wm).expect("refinement succeeds");
     println!(
         "MQP: move q {:?} → ({:.4}, {:.4})   penalty {:.4}",
         q, res.q_prime[0], res.q_prime[1], res.penalty

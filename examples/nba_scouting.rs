@@ -9,10 +9,11 @@
 //!
 //! Run with: `cargo run --release --example nba_scouting`
 
+use std::sync::Arc;
 use wqrtq::core::framework::{RefinedQuery, Wqrtq};
 use wqrtq::data::realistic::nba_like_scaled;
-use wqrtq::geom::Weight;
-use wqrtq::query::rank::rank_of_point;
+use wqrtq::geom::{DeltaView, FlatPoints, Weight};
+use wqrtq::query::rank::rank_of_point_view;
 use wqrtq::rtree::RTree;
 
 const CATS: [&str; 13] = [
@@ -23,6 +24,10 @@ fn main() {
     let k = 25;
     let league = nba_like_scaled(8_000, 2024);
     let tree = RTree::bulk_load(league.dim, &league.coords);
+    let view = DeltaView::plain(Arc::new(FlatPoints::from_row_major(
+        league.dim,
+        &league.coords,
+    )));
 
     // Our player: the league's ~60th season by balanced score, slightly
     // improved (so q is not an exact dataset point). Close enough to the
@@ -55,7 +60,7 @@ fn main() {
 
     println!("player line vs league (top-{k} target):");
     for (name, w) in &staffs {
-        let r = rank_of_point(&tree, w, &q);
+        let r = rank_of_point_view(&tree, &view, w, &q);
         let verdict = if r <= k { "IN" } else { "out" };
         println!("  {name:14} rank {r:5} [{verdict}]");
     }
@@ -63,7 +68,7 @@ fn main() {
     // The why-not set: every profile that leaves the player out.
     let why_not: Vec<Weight> = staffs
         .iter()
-        .filter(|(_, w)| rank_of_point(&tree, w, &q) > k)
+        .filter(|(_, w)| rank_of_point_view(&tree, &view, w, &q) > k)
         .map(|(_, w)| w.clone())
         .collect();
     if why_not.is_empty() {
@@ -72,7 +77,7 @@ fn main() {
     }
     println!("\n{} profile(s) exclude the player", why_not.len());
 
-    let wqrtq = Wqrtq::new(&tree, &q, k).expect("dimensions match");
+    let wqrtq = Wqrtq::with_view(&tree, view, &q, k).expect("dimensions match");
 
     // Training plan: MQP tells us which categories to improve.
     let answer = wqrtq.modify_query(&why_not).expect("MQP succeeds");

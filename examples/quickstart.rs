@@ -7,19 +7,36 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use std::sync::Arc;
 use wqrtq::core::framework::{RefinedQuery, Wqrtq};
 use wqrtq::data::figure1;
-use wqrtq::query::brtopk::bichromatic_reverse_topk_rta;
+use wqrtq::geom::{DeltaView, FlatPoints};
+use wqrtq::query::brtopk::{rta_over_order_view_masked, rta_sorted_order, RtaScratch};
 use wqrtq::rtree::RTree;
 
 fn main() {
     let data = figure1::dataset();
-    let tree = RTree::bulk_load(2, &data.flat_products());
+    let coords = data.flat_products();
+    // The index over the products, and the products themselves as a
+    // plain (never mutated) view.
+    let tree = RTree::bulk_load(2, &coords);
+    let view = DeltaView::plain(Arc::new(FlatPoints::from_row_major(2, &coords)));
     let q = data.apple.coords();
     let k = 3;
 
     println!("== Reverse top-{k} query for Apple q = {q:?} ==");
-    let result = bichromatic_reverse_topk_rta(&tree, &data.customers, q, k);
+    let order = rta_sorted_order(&data.customers);
+    let (mut result, _) = rta_over_order_view_masked(
+        &tree,
+        &view,
+        &data.customers,
+        &order,
+        q,
+        k,
+        None,
+        &mut RtaScratch::new(),
+    );
+    result.sort_unstable();
     for &i in &result {
         println!(
             "  in result: {:8} {:?}",
@@ -36,7 +53,7 @@ fn main() {
         );
     }
 
-    let wqrtq = Wqrtq::new(&tree, q, k).expect("dimensions match");
+    let wqrtq = Wqrtq::with_view(&tree, view, q, k).expect("dimensions match");
     let why_not = data.why_not_customers();
 
     println!("\n== Aspect 1: why are Kevin and Julia missing? ==");

@@ -15,7 +15,9 @@
 //! cargo run --example whynot_advisor
 //! ```
 
+use std::sync::Arc;
 use wqrtq::data::figure1;
+use wqrtq::geom::FlatPoints;
 use wqrtq::prelude::*;
 
 fn main() {
@@ -29,7 +31,8 @@ fn main() {
 
     // ── 1. The core facade: advise() in-process ──────────────────────
     let tree = RTree::bulk_load(2, &coords);
-    let wqrtq = Wqrtq::new(&tree, &apple, 3).unwrap();
+    let view = DeltaView::plain(Arc::new(FlatPoints::from_row_major(2, &coords)));
+    let wqrtq = Wqrtq::with_view(&tree, view, &apple, 3).unwrap();
     let why_not = vec![Weight::new(kevin.clone()), Weight::new(julia.clone())];
     let options = WhyNotOptions::default();
     let plan = wqrtq.advise(&why_not, &options).unwrap();

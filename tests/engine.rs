@@ -2,8 +2,11 @@
 //! worker-count-independent batch results, epoch-driven cache
 //! invalidation, and concurrent shared-index serving.
 
+use std::sync::Arc;
+use wqrtq::core::error::WhyNotError;
 use wqrtq::data::figure1;
 use wqrtq::data::synthetic::independent;
+use wqrtq::geom::FlatPoints;
 use wqrtq::prelude::*;
 
 /// A mixed batch covering every request kind against two datasets.
@@ -177,9 +180,10 @@ fn engine_refinements_match_direct_framework_calls() {
     // refinement responses must equal one-shot Wqrtq calls on the same
     // pre-built index.
     let engine = populated_engine(3);
-    let fig = figure1::dataset();
-    let tree = RTree::bulk_load(2, &fig.flat_products());
-    let wqrtq = Wqrtq::new(&tree, &[4.0, 4.0], 3).unwrap();
+    let coords = figure1::dataset().flat_products();
+    let tree = RTree::bulk_load(2, &coords);
+    let view = DeltaView::plain(Arc::new(FlatPoints::from_row_major(2, &coords)));
+    let wqrtq = Wqrtq::with_view(&tree, view, &[4.0, 4.0], 3).unwrap();
     let why_not = vec![Weight::new(vec![0.1, 0.9]), Weight::new(vec![0.9, 0.1])];
 
     let direct = wqrtq.modify_preferences(&why_not, 120, 7).unwrap();
@@ -202,6 +206,36 @@ fn engine_refinements_match_direct_framework_calls() {
             }
         }
         other => panic!("expected refinement, got {other:?}"),
+    }
+}
+
+#[test]
+fn why_not_plans_with_k_zero_get_a_typed_error_reply() {
+    // k = 0 has no top-k-th point to build MQP's safe region on; the
+    // facade must refuse it before any strategy runs, not panic a worker.
+    let engine = populated_engine(2);
+    let why_not = vec![vec![0.1, 0.9], vec![0.9, 0.1]];
+    let requests = [
+        Request::WhyNot {
+            dataset: "figure1".into(),
+            q: vec![4.0, 4.0],
+            k: 0,
+            why_not: why_not.clone(),
+            options: WhyNotOptions::default(),
+        },
+        Request::WhyNotRefine {
+            dataset: "figure1".into(),
+            q: vec![4.0, 4.0],
+            k: 0,
+            why_not,
+            strategy: RefineStrategy::Mqp,
+        },
+    ];
+    for request in requests {
+        match engine.submit(request) {
+            Response::Error(message) => assert_eq!(message, WhyNotError::ZeroK.to_string()),
+            other => panic!("expected a typed error, got {other:?}"),
+        }
     }
 }
 

@@ -2,42 +2,61 @@
 //! (Figures 1, 2, 5 and the §4 penalty examples), exercised through the
 //! public facade.
 
+use std::sync::Arc;
 use wqrtq::core::framework::{RefinedQuery, Wqrtq};
-use wqrtq::core::mqp::mqp;
-use wqrtq::core::mqwk::mqwk;
-use wqrtq::core::mwk::mwk;
+use wqrtq::core::mqp::mqp_view;
+use wqrtq::core::mqwk::mqwk_view;
+use wqrtq::core::mwk::mwk_view;
 use wqrtq::core::penalty::Tolerances;
 use wqrtq::core::safe_region::SafeRegion;
 use wqrtq::data::figure1;
-use wqrtq::query::brtopk::{bichromatic_reverse_topk_naive, bichromatic_reverse_topk_rta};
+use wqrtq::geom::{DeltaView, FlatPoints};
+use wqrtq::query::brtopk::{
+    bichromatic_reverse_topk_naive, rta_over_order_view_masked, rta_sorted_order, RtaScratch,
+};
 use wqrtq::query::mrtopk::monochromatic_reverse_topk_2d;
-use wqrtq::query::rank::rank_of_point;
-use wqrtq::query::topk::topk;
+use wqrtq::query::rank::rank_of_point_view;
+use wqrtq::query::topk::ViewBestFirst;
 use wqrtq::rtree::RTree;
 
-fn setup() -> (figure1::Figure1, RTree) {
+fn setup() -> (figure1::Figure1, RTree, DeltaView) {
     let data = figure1::dataset();
-    let tree = RTree::bulk_load(2, &data.flat_products());
-    (data, tree)
+    let coords = data.flat_products();
+    let tree = RTree::bulk_load(2, &coords);
+    let view = DeltaView::plain(Arc::new(FlatPoints::from_row_major(2, &coords)));
+    (data, tree, view)
 }
 
 #[test]
 fn section_3_top3_for_kevin() {
     // "TOP3(w1) = {p1, p2, p4}".
-    let (data, tree) = setup();
-    let ids: Vec<u32> = topk(&tree, &data.customers[figure1::KEVIN], 3)
-        .iter()
-        .map(|(i, _)| *i)
+    let (data, tree, view) = setup();
+    let mut bf = ViewBestFirst::new(&tree, &view, &data.customers[figure1::KEVIN]);
+    let ids: Vec<u32> = std::iter::from_fn(|| bf.next_entry())
+        .take(3)
+        .map(|p| p.id)
         .collect();
     assert_eq!(ids, vec![0, 1, 3]);
 }
 
 #[test]
 fn section_1_reverse_top3_returns_tony_and_anna() {
-    let (data, tree) = setup();
+    let (data, tree, view) = setup();
     let q = data.apple.coords();
     let naive = bichromatic_reverse_topk_naive(&data.products, &data.customers, q, 3);
-    let rta = bichromatic_reverse_topk_rta(&tree, &data.customers, q, 3);
+    let order = rta_sorted_order(&data.customers);
+    let mut scratch = RtaScratch::new();
+    let (mut rta, _) = rta_over_order_view_masked(
+        &tree,
+        &view,
+        &data.customers,
+        &order,
+        q,
+        3,
+        None,
+        &mut scratch,
+    );
+    rta.sort_unstable();
     assert_eq!(naive, vec![figure1::TONY, figure1::ANNA]);
     assert_eq!(rta, naive);
 }
@@ -45,7 +64,7 @@ fn section_1_reverse_top3_returns_tony_and_anna() {
 #[test]
 fn figure_2_monochromatic_segment() {
     // MRTOP3(q) = the segment BC: weights (x, 1−x) for x ∈ [1/6, 3/4].
-    let (data, _) = setup();
+    let (data, _, _) = setup();
     let iv = monochromatic_reverse_topk_2d(&data.flat_products(), data.apple.coords(), 3);
     assert_eq!(iv.len(), 1);
     assert!((iv[0].lo - 1.0 / 6.0).abs() < 1e-9);
@@ -54,12 +73,12 @@ fn figure_2_monochromatic_segment() {
 
 #[test]
 fn section_3_ranks_of_q_in_figure_1c() {
-    let (data, tree) = setup();
+    let (data, tree, view) = setup();
     let q = data.apple.coords();
     let ranks: Vec<usize> = data
         .customers
         .iter()
-        .map(|w| rank_of_point(&tree, w, q))
+        .map(|w| rank_of_point_view(&tree, &view, w, q))
         .collect();
     // Kevin 4, Tony 2, Anna 3, Julia 4 (from the printed score table).
     assert_eq!(ranks, vec![4, 2, 3, 4]);
@@ -67,17 +86,17 @@ fn section_3_ranks_of_q_in_figure_1c() {
 
 #[test]
 fn figure_5b_safe_region_and_mqp_optimum() {
-    let (data, tree) = setup();
+    let (data, tree, view) = setup();
     let why_not = data.why_not_customers();
     let q = data.apple.coords();
-    let sr = SafeRegion::build(&tree, q, 3, &why_not).unwrap();
+    let sr = SafeRegion::build_view(&tree, &view, q, 3, &why_not).unwrap();
     // Thresholds from top 3rd points p4 (Kevin) and p7 (Julia).
     assert!((sr.thresholds()[0] - 3.6).abs() < 1e-12);
     assert!((sr.thresholds()[1] - 3.4).abs() < 1e-12);
     // Paper's q″ = (2.5, 3.5) is inside SR(q).
     assert!(sr.contains(&[2.5, 3.5]));
     // MQP finds the closest safe point, beating both hand examples.
-    let res = mqp(&tree, q, 3, &why_not).unwrap();
+    let res = mqp_view(&tree, &view, q, 3, &why_not).unwrap();
     assert!(res.penalty < 0.279 && res.penalty > 0.12);
     assert!(sr.contains(&res.q_prime));
 }
@@ -87,11 +106,11 @@ fn figure_5b_safe_region_and_mqp_optimum() {
 fn section_4_2_hand_refinements_work_but_cost_more() {
     // q′(3, 2.5) and q″(2.5, 3.5) both fix the why-not question per the
     // paper; verify and compare penalties 0.318 / 0.279.
-    let (data, tree) = setup();
+    let (data, tree, view) = setup();
     let why_not = data.why_not_customers();
     for (q_hand, pen) in [([3.0, 2.5], 0.318), ([2.5, 3.5], 0.279)] {
         for w in &why_not {
-            assert!(rank_of_point(&tree, w, &q_hand) <= 3);
+            assert!(rank_of_point_view(&tree, &view, w, &q_hand) <= 3);
         }
         let actual = wqrtq::core::penalty::query_point_penalty(&[4.0, 4.0], &q_hand);
         assert!((actual - pen).abs() < 1e-3);
@@ -103,10 +122,11 @@ fn section_4_3_example_candidates() {
     // The paper's two §4.3 candidates: modify the vectors (≈ 0.115 with
     // its printed values) or modify k to 4 (exactly 0.5). MWK must beat
     // or match the better of the two.
-    let (data, tree) = setup();
+    let (data, tree, view) = setup();
     let why_not = data.why_not_customers();
-    let res = mwk(
+    let res = mwk_view(
         &tree,
+        &view,
         data.apple.coords(),
         3,
         &why_not,
@@ -123,10 +143,11 @@ fn section_4_3_example_candidates() {
 fn section_4_4_example_tuple() {
     // The paper's illustrative tuple costs 0.06; MQWK does at least as
     // well and its winner is a genuine compromise.
-    let (data, tree) = setup();
+    let (data, tree, view) = setup();
     let why_not = data.why_not_customers();
-    let res = mqwk(
+    let res = mqwk_view(
         &tree,
+        &view,
         data.apple.coords(),
         3,
         &why_not,
@@ -138,7 +159,7 @@ fn section_4_4_example_tuple() {
     .unwrap();
     assert!(res.penalty <= 0.0605, "penalty {}", res.penalty);
     for w in &res.refined {
-        assert!(rank_of_point(&tree, w, &res.q_prime) <= res.k_prime);
+        assert!(rank_of_point_view(&tree, &view, w, &res.q_prime) <= res.k_prime);
     }
 }
 
@@ -146,8 +167,8 @@ fn section_4_4_example_tuple() {
 fn facade_end_to_end_matches_paper_ordering() {
     // Across the three solutions the paper's running example orders
     // penalties MQWK < MWK < MQP.
-    let (data, tree) = setup();
-    let wqrtq = Wqrtq::new(&tree, data.apple.coords(), 3).unwrap();
+    let (data, tree, view) = setup();
+    let wqrtq = Wqrtq::with_view(&tree, view, data.apple.coords(), 3).unwrap();
     let why_not = data.why_not_customers();
     let answers = wqrtq.all_refinements(&why_not, 800, 800, 7).unwrap();
     assert!(matches!(
@@ -171,8 +192,8 @@ fn facade_end_to_end_matches_paper_ordering() {
 fn explanations_match_section_3() {
     // "for w1 … p1, p2, and p4 … thus w1 is not inside the reverse
     // top-3 query result".
-    let (data, tree) = setup();
-    let wqrtq = Wqrtq::new(&tree, data.apple.coords(), 3).unwrap();
+    let (data, tree, view) = setup();
+    let wqrtq = Wqrtq::with_view(&tree, view, data.apple.coords(), 3).unwrap();
     let e = wqrtq.explain(&data.customers[figure1::KEVIN], usize::MAX);
     let mut ids: Vec<u32> = e.culprits.iter().map(|c| c.id).collect();
     ids.sort();

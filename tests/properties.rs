@@ -2,14 +2,21 @@
 //! points and why-not sets.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use wqrtq::core::incomparable::DominanceFrontier;
-use wqrtq::core::mqp::mqp;
-use wqrtq::core::mwk::mwk;
+use wqrtq::core::mqp::mqp_view;
+use wqrtq::core::mwk::mwk_view;
 use wqrtq::core::penalty::{preference_penalty, query_point_penalty, Tolerances};
 use wqrtq::core::safe_region::SafeRegion;
-use wqrtq::geom::Weight;
-use wqrtq::query::rank::{rank_of_point, rank_of_point_scan};
+use wqrtq::geom::{DeltaView, FlatPoints, Weight};
+use wqrtq::query::rank::{rank_of_point_scan, rank_of_point_view};
 use wqrtq::rtree::RTree;
+
+/// The R-tree over the row-major `pts` and a plain view of them.
+fn indexed(dim: usize, pts: &[f64]) -> (RTree, DeltaView) {
+    let view = DeltaView::plain(Arc::new(FlatPoints::from_row_major(dim, pts)));
+    (RTree::bulk_load(dim, pts), view)
+}
 
 fn dataset_strategy(dim: usize) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(0.0f64..1.0, (20 * dim)..(120 * dim)).prop_map(move |mut v| {
@@ -28,18 +35,18 @@ proptest! {
         qraw in proptest::collection::vec(0.3f64..1.0, 3),
         k in 1usize..6,
     ) {
-        let tree = RTree::bulk_load(3, &pts);
+        let (tree, view) = indexed(3, &pts);
         prop_assume!(tree.len() >= k + 3);
         let w = Weight::normalized(wraw);
         let q = qraw;
-        prop_assume!(rank_of_point(&tree, &w, &q) > k);
+        prop_assume!(rank_of_point_view(&tree, &view, &w, &q) > k);
         let wm = vec![w.clone()];
-        let res = mqp(&tree, &q, k, &wm).unwrap();
+        let res = mqp_view(&tree, &view, &q, k, &wm).unwrap();
         // Validity: q′ enters the top-k.
-        prop_assert!(rank_of_point(&tree, &w, &res.q_prime) <= k);
+        prop_assert!(rank_of_point_view(&tree, &view, &w, &res.q_prime) <= k);
         // q′ lies in the safe region, and its penalty is no worse than the
         // trivially safe origin.
-        let sr = SafeRegion::build(&tree, &q, k, &wm).unwrap();
+        let sr = SafeRegion::build_view(&tree, &view, &q, k, &wm).unwrap();
         prop_assert!(sr.contains(&res.q_prime));
         prop_assert!(res.penalty <= query_point_penalty(&q, &[0.0, 0.0, 0.0]) + 1e-9);
     }
@@ -50,10 +57,10 @@ proptest! {
         wraw in proptest::collection::vec(0.05f64..1.0, 3),
         qraw in proptest::collection::vec(0.0f64..1.0, 3),
     ) {
-        let tree = RTree::bulk_load(3, &pts);
+        let (tree, view) = indexed(3, &pts);
         prop_assume!(!tree.is_empty());
         let w = Weight::normalized(wraw);
-        let frontier = DominanceFrontier::from_tree(&tree, &qraw);
+        let frontier = DominanceFrontier::from_view(&tree, &view, &qraw);
         prop_assert_eq!(
             frontier.rank_under(&w),
             rank_of_point_scan(&pts, &w, &qraw)
@@ -68,17 +75,17 @@ proptest! {
         sample_size in 0usize..120,
         seed in 0u64..1000,
     ) {
-        let tree = RTree::bulk_load(2, &pts);
+        let (tree, view) = indexed(2, &pts);
         prop_assume!(tree.len() >= k + 5);
         let w = Weight::new(vec![0.35, 0.65]);
-        prop_assume!(rank_of_point(&tree, &w, &qraw) > k);
+        prop_assume!(rank_of_point_view(&tree, &view, &w, &qraw) > k);
         let wm = vec![w];
         let tol = Tolerances::paper_default();
-        let res = mwk(&tree, &qraw, k, &wm, sample_size, &tol, seed).unwrap();
+        let res = mwk_view(&tree, &view, &qraw, k, &wm, sample_size, &tol, seed).unwrap();
         // k′ never exceeds k′max (Lemma 4) and never undercuts feasibility.
         prop_assert!(res.k_prime <= res.k_max);
         for rw in &res.refined {
-            prop_assert!(rank_of_point(&tree, rw, &qraw) <= res.k_prime);
+            prop_assert!(rank_of_point_view(&tree, &view, rw, &qraw) <= res.k_prime);
         }
         // Penalty is bounded by the k-only fallback (α = 0.5).
         prop_assert!(res.penalty <= 0.5 + 1e-9);
@@ -94,15 +101,15 @@ proptest! {
         cand in proptest::collection::vec(0.0f64..1.0, 2),
     ) {
         // Definition 7: x ∈ SR(q) ⟹ every why-not vector admits x.
-        let tree = RTree::bulk_load(2, &pts);
+        let (tree, view) = indexed(2, &pts);
         prop_assume!(tree.len() >= k + 3);
         let q = vec![1.0, 1.0];
         let wm = vec![Weight::new(vec![0.2, 0.8]), Weight::new(vec![0.7, 0.3])];
-        let sr = SafeRegion::build(&tree, &q, k, &wm).unwrap();
+        let sr = SafeRegion::build_view(&tree, &view, &q, k, &wm).unwrap();
         if sr.contains(&cand) {
             for w in &wm {
                 prop_assert!(
-                    rank_of_point(&tree, w, &cand) <= k,
+                    rank_of_point_view(&tree, &view, w, &cand) <= k,
                     "safe point not in top-{k}"
                 );
             }
@@ -133,15 +140,15 @@ proptest! {
         // The interior-point QP of MQP and the Sutherland–Hodgman
         // safe-region polygon are two independent implementations of the
         // same optimisation problem; in 2-D they must agree.
-        let tree = RTree::bulk_load(2, &pts);
+        let (tree, view) = indexed(2, &pts);
         prop_assume!(tree.len() >= k + 3);
         let wm: Vec<Weight> = wraws
             .iter()
             .map(|(a, b)| Weight::normalized(vec![*a, *b]))
             .collect();
-        prop_assume!(wm.iter().any(|w| rank_of_point(&tree, w, &qraw) > k));
-        let res = mqp(&tree, &qraw, k, &wm).unwrap();
-        let sr = SafeRegion::build(&tree, &qraw, k, &wm).unwrap();
+        prop_assume!(wm.iter().any(|w| rank_of_point_view(&tree, &view, w, &qraw) > k));
+        let res = mqp_view(&tree, &view, &qraw, k, &wm).unwrap();
+        let sr = SafeRegion::build_view(&tree, &view, &qraw, k, &wm).unwrap();
         let exact = sr.closest_point_2d().expect("region non-empty for non-negative data");
         let d_qp = wqrtq::geom::l2_dist(&qraw, &res.q_prime);
         let d_exact = wqrtq::geom::l2_dist(&qraw, &exact);
