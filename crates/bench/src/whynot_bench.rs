@@ -1,33 +1,34 @@
 //! Why-not advisor benchmark: one [`Request::WhyNot`] plan against the
-//! equivalent hand-rolled sequence of legacy calls.
+//! equivalent hand-rolled sequence of per-strategy calls.
 //!
-//! Before the advisor, a caller wanting the paper's actual deliverable —
-//! "which refinement is cheapest?" — had to issue one `WhyNotExplain`
-//! per why-not vector plus all three `WhyNotRefine` strategies, then
-//! compare penalties by hand. The plan request does the same work in a
-//! single round trip through the engine (one validation pass, one cache
-//! entry, one queue hop) and additionally verifies every answer and
-//! breaks every penalty into its terms.
+//! A caller that answers the paper's actual deliverable — "which
+//! refinement is cheapest?" — by hand issues one `WhyNotExplain` per
+//! why-not vector plus one single-strategy `WhyNot` per strategy, then
+//! compares penalties. The all-strategy plan request does the same work
+//! in a single round trip through the engine (one validation pass, one
+//! explanation pass, one cache entry, one queue hop). Each
+//! single-strategy reference step also explains, verifies and breaks
+//! down its answer, as every plan step does.
 //!
 //! Two things are measured on identical workloads (distinct query
 //! points per round, so the result cache never flatters either side):
 //!
-//! * **throughput** — plans per second vs. legacy bundles per second
-//!   (`speedup_plan_vs_legacy_calls`); the plan runs with the exact-2D
-//!   path pinned off so both sides execute the same algorithms;
+//! * **throughput** — plans per second vs. reference bundles per second
+//!   (`speedup_plan_vs_legacy_calls`); both sides run with the exact-2D
+//!   path pinned off so they execute the same algorithms;
 //! * **streaming latency** — how much sooner the first progressive
 //!   partial (an explanation) lands than the full plan
 //!   (`streaming_headstart` = full-plan time / first-partial time).
 //!
 //! Correctness anchors: the plan's recommendation must equal the
-//! minimum of the three legacy penalties bit for bit, and every plan
-//! step must carry `verified = true`. The binary `whynot_bench` emits
+//! minimum of the three single-strategy penalties bit for bit, and
+//! every plan step must carry `verified = true`. The binary `whynot_bench` emits
 //! the JSON report `scripts/bench.sh` writes to `BENCH_whynot.json`.
 
 use std::time::{Duration, Instant};
-use wqrtq_core::advisor::WhyNotOptions;
+use wqrtq_core::advisor::{StrategyKind, WhyNotOptions};
 use wqrtq_data::synthetic::independent;
-use wqrtq_engine::{Engine, Histogram, PlanDelta, RefineStrategy, Request, Response};
+use wqrtq_engine::{Engine, Histogram, PlanDelta, Request, Response};
 use wqrtq_geom::Weight;
 use wqrtq_query::rank::rank_of_point_scan;
 
@@ -223,7 +224,7 @@ fn plan_options(cfg: &WhyNotBenchConfig) -> WhyNotOptions {
         sample_size: cfg.sample_size,
         query_samples: cfg.query_samples,
         seed: cfg.seed,
-        // Pinned off so the plan and the legacy calls run the *same*
+        // Pinned off so the plan and the per-strategy calls run the *same*
         // algorithms — the speedup measures the surface, not a better
         // algorithm sneaking in.
         exact_2d: false,
@@ -253,8 +254,9 @@ pub fn compare(cfg: &WhyNotBenchConfig) -> WhyNotComparison {
         .expect("register");
     engine.catalog().handle("bench").expect("warm index");
 
-    // Legacy side: one explain per vector + all three strategies, the
-    // pre-advisor recipe for "which refinement is cheapest?".
+    // Reference side: one explain per vector + one single-strategy plan
+    // per strategy, the by-hand recipe for "which refinement is
+    // cheapest?".
     let mut legacy_minima: Vec<f64> = Vec::with_capacity(cfg.rounds);
     let mut legacy_requests = 0usize;
     let legacy_latency = Histogram::new();
@@ -272,29 +274,21 @@ pub fn compare(cfg: &WhyNotBenchConfig) -> WhyNotComparison {
             legacy_requests += 1;
         }
         let mut min = f64::INFINITY;
-        for strategy in [
-            RefineStrategy::Mqp,
-            RefineStrategy::Mwk {
-                sample_size: cfg.sample_size,
-                seed: cfg.seed,
-            },
-            RefineStrategy::Mqwk {
-                sample_size: cfg.sample_size,
-                query_samples: cfg.query_samples,
-                seed: cfg.seed,
-            },
-        ] {
-            let r = engine.submit(Request::WhyNotRefine {
+        for strategy in StrategyKind::ALL {
+            let r = engine.submit(Request::WhyNot {
                 dataset: "bench".into(),
                 q: case.q.clone(),
                 k: cfg.k,
                 why_not: case.why_not.clone(),
-                strategy,
+                options: WhyNotOptions {
+                    strategies: vec![strategy],
+                    ..plan_options(cfg)
+                },
             });
             legacy_requests += 1;
             match r {
-                Response::Refinement(refinement) => min = min.min(refinement.penalty),
-                other => panic!("legacy refine failed: {other:?}"),
+                Response::Plan(plan) => min = min.min(plan.recommended().refinement.penalty),
+                other => panic!("single-strategy plan failed: {other:?}"),
             }
         }
         legacy_minima.push(min);

@@ -14,8 +14,12 @@
 //! still running.
 
 use crate::error::WhyNotError;
+use crate::exact2d::mwk_exact_2d;
 use crate::explain::Explanation;
 use crate::framework::{RefinedQuery, Wqrtq, WqrtqAnswer};
+use crate::mqp::mqp_view;
+use crate::mqwk::mqwk_view;
+use crate::mwk::mwk_view;
 use crate::penalty::{delta_wm, query_point_penalty, Tolerances};
 use std::borrow::Borrow;
 use wqrtq_geom::weight::MAX_SIMPLEX_DISTANCE;
@@ -89,9 +93,9 @@ pub struct WhyNotOptions {
     /// Seed for every sampling step (determinism is seed-driven).
     pub seed: u64,
     /// Allow the advisor to auto-select the exact 2-D MWK path (globally
-    /// optimal, no sampling) when the data is two-dimensional. Disabled
-    /// by the legacy one-strategy shims, which must reproduce the
-    /// sampled behaviour bit for bit.
+    /// optimal, no sampling) when the data is two-dimensional. Set it to
+    /// `false` to pin the sampled path, e.g. to compare against a
+    /// sampled run or to reproduce one bit for bit.
     pub exact_2d: bool,
 }
 
@@ -215,82 +219,76 @@ fn canonical_strategies(requested: &[StrategyKind]) -> Vec<StrategyKind> {
 
 impl<T: Borrow<RTree>> Wqrtq<T> {
     /// Runs one strategy on an **already validated** why-not set —
-    /// no re-validation, no verification, no breakdown: exactly the
-    /// compute of the matching `modify_*` call minus its validation
-    /// pass. Shared by [`Wqrtq::refine_step`] and
-    /// [`Wqrtq::refine_answer`].
+    /// no re-validation, no verification, no breakdown: the bare
+    /// algorithm call behind [`Wqrtq::refine_step`].
     fn answer_for(
         &self,
         why_not: &[Weight],
         strategy: StrategyKind,
         options: &WhyNotOptions,
     ) -> Result<(WqrtqAnswer, StepStats), WhyNotError> {
-        Ok(match strategy {
-            StrategyKind::Mqp => (
-                self.answer_mqp(why_not)?,
-                StepStats {
-                    exact: false,
-                    sample_size: 0,
-                    query_samples: 0,
-                },
-            ),
-            StrategyKind::Mwk => {
-                // The exact 2-D sweep is globally optimal; it applies
-                // whenever the data is 2-D and the caller did not pin
-                // the sampled path.
-                if options.exact_2d && self.tree().dim() == 2 {
-                    (
-                        self.answer_mwk_exact_2d(why_not)?,
-                        StepStats {
-                            exact: true,
-                            sample_size: 0,
-                            query_samples: 0,
-                        },
-                    )
-                } else {
-                    (
-                        self.answer_mwk(why_not, options.sample_size, options.seed)?,
-                        StepStats {
-                            exact: false,
-                            sample_size: options.sample_size,
-                            query_samples: 0,
-                        },
-                    )
-                }
+        let (tree, view, q, k, tol) = (
+            self.tree(),
+            self.view(),
+            self.q(),
+            self.k(),
+            self.tolerances(),
+        );
+        let stats = |exact, sample_size, query_samples| StepStats {
+            exact,
+            sample_size,
+            query_samples,
+        };
+        let (refined, penalty, stats) = match strategy {
+            StrategyKind::Mqp => {
+                let res = mqp_view(tree, view, q, k, why_not)?;
+                let refined = RefinedQuery::QueryPoint {
+                    q_prime: res.q_prime,
+                };
+                (refined, res.penalty, stats(false, 0, 0))
             }
-            StrategyKind::Mqwk => (
-                self.answer_mqwk(
+            // The exact 2-D sweep is globally optimal; it applies whenever
+            // the data is 2-D and the caller did not pin the sampled path.
+            StrategyKind::Mwk if options.exact_2d && tree.dim() == 2 => {
+                let (live, _) = view.materialize_row_major();
+                let res = mwk_exact_2d(&live, q, k, why_not, tol);
+                let refined = RefinedQuery::Preferences {
+                    why_not: res.refined,
+                    k: res.k_prime,
+                };
+                (refined, res.penalty, stats(true, 0, 0))
+            }
+            StrategyKind::Mwk => {
+                let (samples, seed) = (options.sample_size, options.seed);
+                let res = mwk_view(tree, view, q, k, why_not, samples, tol, seed)?;
+                let refined = RefinedQuery::Preferences {
+                    why_not: res.refined,
+                    k: res.k_prime,
+                };
+                (refined, res.penalty, stats(false, samples, 0))
+            }
+            StrategyKind::Mqwk => {
+                let (samples, q_samples) = (options.sample_size, options.query_samples);
+                let res = mqwk_view(
+                    tree,
+                    view,
+                    q,
+                    k,
                     why_not,
-                    options.sample_size,
-                    options.query_samples,
+                    samples,
+                    q_samples,
+                    tol,
                     options.seed,
-                )?,
-                StepStats {
-                    exact: false,
-                    sample_size: options.sample_size,
-                    query_samples: options.query_samples,
-                },
-            ),
-        })
-    }
-
-    /// Runs one refinement strategy under `options` and returns just the
-    /// answer — the thin path the legacy one-strategy serving shims use.
-    /// Validates the why-not set once and then performs exactly the
-    /// compute of the matching `modify_*` call (no verification, no
-    /// breakdown), so a shimmed legacy request costs what it always did
-    /// and answers bit-identically.
-    ///
-    /// # Errors
-    /// Propagates validation and the strategy's own failures.
-    pub fn refine_answer(
-        &self,
-        why_not: &[Weight],
-        strategy: StrategyKind,
-        options: &WhyNotOptions,
-    ) -> Result<WqrtqAnswer, WhyNotError> {
-        self.validate_why_not(why_not)?;
-        Ok(self.answer_for(why_not, strategy, options)?.0)
+                )?;
+                let refined = RefinedQuery::Everything {
+                    q_prime: res.q_prime,
+                    why_not: res.refined,
+                    k: res.k_prime,
+                };
+                (refined, res.penalty, stats(false, samples, q_samples))
+            }
+        };
+        Ok((WqrtqAnswer { refined, penalty }, stats))
     }
 
     /// Runs one refinement strategy under `options` and packages it as a
@@ -611,33 +609,5 @@ mod tests {
             w.advise(&kevin_julia(), &options),
             Err(WhyNotError::NoStrategies)
         ));
-    }
-
-    #[test]
-    fn refine_step_matches_the_one_shot_facade_calls_bit_for_bit() {
-        // The legacy serving shims route through refine_step with
-        // exact_2d disabled; it must reproduce the direct facade calls
-        // exactly.
-        let tree = fig_tree();
-        let w = plain_view_facade(&tree);
-        let wn = kevin_julia();
-        let ranks = w.validate_why_not(&wn).unwrap();
-        let options = WhyNotOptions {
-            exact_2d: false,
-            sample_size: 120,
-            query_samples: 40,
-            seed: 9,
-            ..WhyNotOptions::default()
-        };
-        let step = w
-            .refine_step(&wn, StrategyKind::Mwk, &options, &ranks)
-            .unwrap();
-        let direct = w.modify_preferences(&wn, 120, 9).unwrap();
-        assert_eq!(step.answer.penalty.to_bits(), direct.penalty.to_bits());
-        let step = w
-            .refine_step(&wn, StrategyKind::Mqwk, &options, &ranks)
-            .unwrap();
-        let direct = w.modify_all(&wn, 120, 40, 9).unwrap();
-        assert_eq!(step.answer.penalty.to_bits(), direct.penalty.to_bits());
     }
 }

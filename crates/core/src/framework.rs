@@ -4,14 +4,12 @@
 //! why-not inputs (for bichromatic queries the vectors must come from
 //! `W ∖ BRTOPk(q)`; for monochromatic queries any non-member vector is
 //! allowed — both reduce to "q ranks below k", which is what we check),
-//! and exposes the three refinement solutions plus the aspect-1
-//! explanation under one roof.
+//! explains (aspect 1) and verifies. The three refinement solutions run
+//! through the advisor ([`Wqrtq::advise`], [`Wqrtq::refine_step`]), the
+//! one entry point for any subset of them.
 
 use crate::error::WhyNotError;
 use crate::explain::{explain_view_with_stats, Explanation};
-use crate::mqp::mqp_view;
-use crate::mqwk::mqwk_view;
-use crate::mwk::mwk_view;
 use crate::penalty::Tolerances;
 use std::borrow::Borrow;
 use wqrtq_geom::{DeltaView, Weight};
@@ -176,152 +174,6 @@ impl<T: Borrow<RTree>> Wqrtq<T> {
         explain_view_with_stats(self.tree(), &self.view, w, &self.q, limit).0
     }
 
-    /// Solution 1: modify the query point (MQP).
-    pub fn modify_query(&self, why_not: &[Weight]) -> Result<WqrtqAnswer, WhyNotError> {
-        self.validate_why_not(why_not)?;
-        self.answer_mqp(why_not)
-    }
-
-    /// MQP without the why-not validation pass — for callers (the
-    /// advisor) that validated the set once already.
-    pub(crate) fn answer_mqp(&self, why_not: &[Weight]) -> Result<WqrtqAnswer, WhyNotError> {
-        let res = mqp_view(self.tree(), &self.view, &self.q, self.k, why_not)?;
-        Ok(WqrtqAnswer {
-            refined: RefinedQuery::QueryPoint {
-                q_prime: res.q_prime,
-            },
-            penalty: res.penalty,
-        })
-    }
-
-    /// Solution 2: modify the why-not vectors and `k` (MWK).
-    pub fn modify_preferences(
-        &self,
-        why_not: &[Weight],
-        sample_size: usize,
-        seed: u64,
-    ) -> Result<WqrtqAnswer, WhyNotError> {
-        self.validate_why_not(why_not)?;
-        self.answer_mwk(why_not, sample_size, seed)
-    }
-
-    /// Sampled MWK without the why-not validation pass.
-    pub(crate) fn answer_mwk(
-        &self,
-        why_not: &[Weight],
-        sample_size: usize,
-        seed: u64,
-    ) -> Result<WqrtqAnswer, WhyNotError> {
-        let res = mwk_view(
-            self.tree(),
-            &self.view,
-            &self.q,
-            self.k,
-            why_not,
-            sample_size,
-            &self.tol,
-            seed,
-        )?;
-        Ok(WqrtqAnswer {
-            refined: RefinedQuery::Preferences {
-                why_not: res.refined,
-                k: res.k_prime,
-            },
-            penalty: res.penalty,
-        })
-    }
-
-    /// Solution 2, exact variant (2-D data only): enumerates candidate
-    /// `k′` values against the exact monochromatic weight intervals
-    /// instead of sampling over the view's live rows, returning the
-    /// *globally optimal* `(Wm′, k′)`.
-    ///
-    /// # Panics
-    /// Panics if the data is not two-dimensional (see
-    /// [`crate::exact2d::mwk_exact_2d`]).
-    pub fn modify_preferences_exact_2d(
-        &self,
-        why_not: &[Weight],
-    ) -> Result<WqrtqAnswer, WhyNotError> {
-        self.validate_why_not(why_not)?;
-        self.answer_mwk_exact_2d(why_not)
-    }
-
-    /// Exact 2-D MWK without the why-not validation pass.
-    pub(crate) fn answer_mwk_exact_2d(
-        &self,
-        why_not: &[Weight],
-    ) -> Result<WqrtqAnswer, WhyNotError> {
-        let (live, _) = self.view.materialize_row_major();
-        let res = crate::exact2d::mwk_exact_2d(&live, &self.q, self.k, why_not, &self.tol);
-        Ok(WqrtqAnswer {
-            refined: RefinedQuery::Preferences {
-                why_not: res.refined,
-                k: res.k_prime,
-            },
-            penalty: res.penalty,
-        })
-    }
-
-    /// Solution 3: modify everything (MQWK).
-    pub fn modify_all(
-        &self,
-        why_not: &[Weight],
-        sample_size: usize,
-        query_samples: usize,
-        seed: u64,
-    ) -> Result<WqrtqAnswer, WhyNotError> {
-        self.validate_why_not(why_not)?;
-        self.answer_mqwk(why_not, sample_size, query_samples, seed)
-    }
-
-    /// MQWK without the why-not validation pass.
-    pub(crate) fn answer_mqwk(
-        &self,
-        why_not: &[Weight],
-        sample_size: usize,
-        query_samples: usize,
-        seed: u64,
-    ) -> Result<WqrtqAnswer, WhyNotError> {
-        let res = mqwk_view(
-            self.tree(),
-            &self.view,
-            &self.q,
-            self.k,
-            why_not,
-            sample_size,
-            query_samples,
-            &self.tol,
-            seed,
-        )?;
-        Ok(WqrtqAnswer {
-            refined: RefinedQuery::Everything {
-                q_prime: res.q_prime,
-                why_not: res.refined,
-                k: res.k_prime,
-            },
-            penalty: res.penalty,
-        })
-    }
-
-    /// Runs all three solutions and returns them sorted by penalty
-    /// (cheapest first) — the "pick your scenario" view of Figure 4.
-    pub fn all_refinements(
-        &self,
-        why_not: &[Weight],
-        sample_size: usize,
-        query_samples: usize,
-        seed: u64,
-    ) -> Result<Vec<WqrtqAnswer>, WhyNotError> {
-        let mut answers = vec![
-            self.modify_query(why_not)?,
-            self.modify_preferences(why_not, sample_size, seed)?,
-            self.modify_all(why_not, sample_size, query_samples, seed)?,
-        ];
-        answers.sort_by(|a, b| a.penalty.total_cmp(&b.penalty));
-        Ok(answers)
-    }
-
     /// Verifies that an answer actually fixes the why-not question: every
     /// (refined) why-not vector must contain the (refined) query point in
     /// its (refined) top-k.
@@ -361,7 +213,31 @@ impl<T: Borrow<RTree>> Wqrtq<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::advisor::{StrategyKind, WhyNotOptions};
     use crate::test_support::{fig, kevin_julia};
+
+    /// Advisor options running `strategies` on the sampled path.
+    fn sampled(
+        strategies: &[StrategyKind],
+        sample_size: usize,
+        query_samples: usize,
+        seed: u64,
+    ) -> WhyNotOptions {
+        WhyNotOptions {
+            strategies: strategies.to_vec(),
+            sample_size,
+            query_samples,
+            seed,
+            exact_2d: false,
+            ..WhyNotOptions::default()
+        }
+    }
+
+    /// Every strategy's answer, cheapest first.
+    fn all_answers<T: Borrow<RTree>>(w: &Wqrtq<T>, options: &WhyNotOptions) -> Vec<WqrtqAnswer> {
+        let plan = w.advise(&kevin_julia(), options).unwrap();
+        plan.steps.into_iter().map(|step| step.answer).collect()
+    }
 
     fn fig_tree() -> RTree {
         fig().0
@@ -393,7 +269,7 @@ mod tests {
         let tree = fig_tree();
         let w = fig_facade(&tree);
         let wn = kevin_julia();
-        for answer in w.all_refinements(&wn, 200, 200, 7).unwrap() {
+        for answer in all_answers(&w, &sampled(&StrategyKind::ALL, 200, 200, 7)) {
             assert!(w.verify(&wn, &answer), "unverified answer {answer:?}");
             assert!(answer.penalty >= 0.0);
         }
@@ -403,7 +279,7 @@ mod tests {
     fn answers_are_sorted_by_penalty() {
         let tree = fig_tree();
         let w = fig_facade(&tree);
-        let answers = w.all_refinements(&kevin_julia(), 200, 200, 3).unwrap();
+        let answers = all_answers(&w, &sampled(&StrategyKind::ALL, 200, 200, 3));
         assert_eq!(answers.len(), 3);
         assert!(answers.windows(2).all(|p| p[0].penalty <= p[1].penalty));
         // MQWK (Everything) is never beaten on this workload because it
@@ -419,8 +295,13 @@ mod tests {
         let tree = fig_tree();
         let w = fig_facade(&tree);
         let wn = kevin_julia();
-        let exact = w.modify_preferences_exact_2d(&wn).unwrap();
-        let sampled = w.modify_preferences(&wn, 400, 3).unwrap();
+        let mwk = sampled(&[StrategyKind::Mwk], 400, 0, 3);
+        let sampled = all_answers(&w, &mwk).remove(0);
+        let exact_2d = WhyNotOptions {
+            exact_2d: true,
+            ..mwk
+        };
+        let exact = all_answers(&w, &exact_2d).remove(0);
         assert!(exact.penalty <= sampled.penalty + 1e-9);
         assert!(w.verify(&wn, &exact));
     }
@@ -470,8 +351,9 @@ mod tests {
             overlay.validate_why_not(&wn).unwrap(),
             oracle.validate_why_not(&wn).unwrap()
         );
-        let a = overlay.all_refinements(&wn, 150, 150, 11).unwrap();
-        let b = oracle.all_refinements(&wn, 150, 150, 11).unwrap();
+        let options = sampled(&StrategyKind::ALL, 150, 150, 11);
+        let a = all_answers(&overlay, &options);
+        let b = all_answers(&oracle, &options);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.penalty.to_bits(), y.penalty.to_bits(), "penalty drift");

@@ -669,7 +669,8 @@ impl Drop for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::{RefineStrategy, WeightSet};
+    use crate::request::WeightSet;
+    use wqrtq_core::advisor::{StrategyKind, WhyNotOptions};
 
     fn figure1_engine(workers: usize) -> Engine {
         let engine = Engine::builder()
@@ -727,12 +728,16 @@ mod tests {
                 q: vec![4.0, 4.0],
                 limit: 10,
             },
-            Request::WhyNotRefine {
+            Request::WhyNot {
                 dataset: "products".into(),
                 q: vec![4.0, 4.0],
                 k: 3,
                 why_not: vec![vec![0.1, 0.9], vec![0.9, 0.1]],
-                strategy: RefineStrategy::Mqp,
+                options: WhyNotOptions {
+                    strategies: vec![StrategyKind::Mqp],
+                    exact_2d: false,
+                    ..WhyNotOptions::default()
+                },
             },
         ];
         let responses = engine.submit_batch(batch);
@@ -748,12 +753,13 @@ mod tests {
             other => panic!("expected explanation, got {other:?}"),
         }
         match &responses[4] {
-            Response::Refinement(r) => {
+            Response::Plan(plan) => {
+                let r = &plan.recommended().refinement;
                 let q_prime = r.q_prime.as_ref().expect("MQP moves q");
                 assert!((q_prime[0] - 3.375).abs() < 1e-5);
                 assert!((q_prime[1] - 3.625).abs() < 1e-5);
             }
-            other => panic!("expected refinement, got {other:?}"),
+            other => panic!("expected plan, got {other:?}"),
         }
         assert!(responses.iter().all(|r| !r.is_error()));
         let m = engine.metrics();
@@ -928,7 +934,6 @@ mod tests {
     #[test]
     fn why_not_plan_streams_partials_then_recommends_the_minimum() {
         use crate::request::PlanDelta;
-        use wqrtq_core::advisor::WhyNotOptions;
         let engine = figure1_engine(2);
         let request = Request::WhyNot {
             dataset: "products".into(),
@@ -1175,12 +1180,16 @@ mod tests {
                 q: vec![f64::NAN, 4.0],
                 limit: 3,
             },
-            Request::WhyNotRefine {
+            Request::WhyNot {
                 dataset: "products".into(),
                 q: vec![4.0, 4.0],
                 k: 3,
                 why_not: vec![vec![f64::NAN, 0.9]],
-                strategy: RefineStrategy::Mqp,
+                options: WhyNotOptions {
+                    strategies: vec![StrategyKind::Mqp],
+                    exact_2d: false,
+                    ..WhyNotOptions::default()
+                },
             },
         ];
         for request in cases {
@@ -1273,7 +1282,7 @@ mod tests {
             q: vec![4.0, 4.0],
             k: 3,
             why_not: vec![vec![0.1, 0.9]],
-            options: wqrtq_core::advisor::WhyNotOptions::default(),
+            options: WhyNotOptions::default(),
         });
         let m = engine.metrics();
         for stage in [

@@ -501,7 +501,7 @@ mod tests {
         );
         m.record(RequestKind::TopK, Duration::from_micros(30), 7, true, false);
         m.record(
-            RequestKind::WhyNotRefine,
+            RequestKind::WhyNot,
             Duration::from_millis(2),
             0,
             false,
@@ -517,8 +517,8 @@ mod tests {
         assert_eq!(topk.cache_hits, 1);
         assert_eq!(topk.avg_latency(), Duration::from_micros(20));
         assert_eq!(topk.max_latency(), Duration::from_micros(30));
-        let refine = &s.per_kind[RequestKind::WhyNotRefine.index()];
-        assert_eq!(refine.errors, 1);
+        let plan = &s.per_kind[RequestKind::WhyNot.index()];
+        assert_eq!(plan.errors, 1);
     }
 
     #[test]
@@ -571,7 +571,7 @@ mod tests {
             .snapshot(empty_cache_stats(), empty_catalog_stats())
             .to_string();
         assert!(text.contains("topk"));
-        assert!(!text.contains("whynot-refine"));
+        assert!(!text.contains("whynot-plan"));
     }
 
     #[test]

@@ -35,29 +35,6 @@ pub enum WeightSet {
     Inline(Vec<Vec<f64>>),
 }
 
-/// Which refinement solution a [`Request::WhyNotRefine`] asks for.
-#[derive(Clone, Debug, PartialEq)]
-pub enum RefineStrategy {
-    /// Solution 1 — modify the query point (safe region + QP).
-    Mqp,
-    /// Solution 2 — modify the why-not vectors and `k` (sampling).
-    Mwk {
-        /// Number of weight samples `|S|`.
-        sample_size: usize,
-        /// Sampling seed (determinism is seed-driven).
-        seed: u64,
-    },
-    /// Solution 3 — modify `q`, the vectors and `k` together.
-    Mqwk {
-        /// Number of weight samples `|S|`.
-        sample_size: usize,
-        /// Number of query-point samples `|Q|`.
-        query_samples: usize,
-        /// Sampling seed.
-        seed: u64,
-    },
-}
-
 /// One unit of work for the engine.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
@@ -129,22 +106,6 @@ pub enum Request {
         /// Penalty coefficients, strategy subset, culprit limit, sample
         /// budgets and seed (validated at [`Request::validate`]).
         options: WhyNotOptions,
-    },
-    /// Aspect 2, one strategy at a time. **Deprecated**: prefer
-    /// [`Request::WhyNot`], which runs every strategy and recommends the
-    /// minimum-penalty one. Served as a thin shim over the same advisor
-    /// path (bit-identical to the historical behaviour).
-    WhyNotRefine {
-        /// Catalog dataset name.
-        dataset: String,
-        /// The query point.
-        q: Vec<f64>,
-        /// The original `k`.
-        k: usize,
-        /// The why-not weighting vectors.
-        why_not: Vec<Vec<f64>>,
-        /// Which solution to run.
-        strategy: RefineStrategy,
     },
     /// Appends rows to a dataset's delta overlay (`O(Δ)`, no rebuild).
     Append {
@@ -250,8 +211,6 @@ pub enum RequestKind {
     ReverseTopKBi,
     /// [`Request::WhyNotExplain`].
     WhyNotExplain,
-    /// [`Request::WhyNotRefine`].
-    WhyNotRefine,
     /// [`Request::WhyNot`].
     WhyNot,
     /// [`Request::Append`].
@@ -273,13 +232,16 @@ pub enum RequestKind {
 ///
 /// Wire tags are **append-only**: tags 1–7 predate protocol v2 and must
 /// never be renumbered (v1 clients depend on them); new kinds take the
-/// next free tag regardless of their position in this table.
-pub const REQUEST_KIND_TABLE: [(RequestKind, &str, u8); 9] = [
+/// next free tag regardless of their position in this table. Tag 5 is
+/// **reserved**: it carried the retired one-strategy refinement request
+/// (now a [`Request::WhyNot`] with a one-strategy subset) and is never
+/// reused, so a stale client's frame fails to decode instead of being
+/// misread as another kind.
+pub const REQUEST_KIND_TABLE: [(RequestKind, &str, u8); 8] = [
     (RequestKind::TopK, "topk", 1),
     (RequestKind::ReverseTopKMono, "rtopk-mono", 2),
     (RequestKind::ReverseTopKBi, "rtopk-bi", 3),
     (RequestKind::WhyNotExplain, "whynot-explain", 4),
-    (RequestKind::WhyNotRefine, "whynot-refine", 5),
     (RequestKind::WhyNot, "whynot-plan", 8),
     (RequestKind::Append, "append", 6),
     (RequestKind::Delete, "delete", 7),
@@ -354,7 +316,6 @@ impl Request {
             Request::ReverseTopKMono { .. } => RequestKind::ReverseTopKMono,
             Request::ReverseTopKBi { .. } => RequestKind::ReverseTopKBi,
             Request::WhyNotExplain { .. } => RequestKind::WhyNotExplain,
-            Request::WhyNotRefine { .. } => RequestKind::WhyNotRefine,
             Request::WhyNot { .. } => RequestKind::WhyNot,
             Request::Append { .. } => RequestKind::Append,
             Request::Delete { .. } => RequestKind::Delete,
@@ -370,7 +331,6 @@ impl Request {
             | Request::ReverseTopKMono { dataset, .. }
             | Request::ReverseTopKBi { dataset, .. }
             | Request::WhyNotExplain { dataset, .. }
-            | Request::WhyNotRefine { dataset, .. }
             | Request::WhyNot { dataset, .. }
             | Request::Append { dataset, .. }
             | Request::Delete { dataset, .. } => dataset,
@@ -403,31 +363,6 @@ impl Request {
             Request::WhyNotExplain { weight, q, .. } => {
                 check_weight(weight, "weight")?;
                 check_finite(q, "query point")
-            }
-            Request::WhyNotRefine {
-                q,
-                why_not,
-                strategy,
-                ..
-            } => {
-                check_finite(q, "query point")?;
-                for w in why_not {
-                    check_weight(w, "why-not vector")?;
-                }
-                match strategy {
-                    RefineStrategy::Mqp => Ok(()),
-                    RefineStrategy::Mwk { sample_size, .. } => {
-                        check_budget(*sample_size, "sample size")
-                    }
-                    RefineStrategy::Mqwk {
-                        sample_size,
-                        query_samples,
-                        ..
-                    } => {
-                        check_budget(*sample_size, "sample size")?;
-                        check_budget(*query_samples, "query samples")
-                    }
-                }
             }
             Request::WhyNot {
                 q,
@@ -509,40 +444,6 @@ impl Request {
                 h.write_floats(weight);
                 h.write_floats(q);
                 h.write_u64(*limit as u64);
-            }
-            Request::WhyNotRefine {
-                dataset,
-                q,
-                k,
-                why_not,
-                strategy,
-            } => {
-                h.write_u64(5);
-                h.write_str(dataset);
-                h.write_floats(q);
-                h.write_u64(*k as u64);
-                h.write_u64(why_not.len() as u64);
-                for w in why_not {
-                    h.write_floats(w);
-                }
-                match strategy {
-                    RefineStrategy::Mqp => h.write_u64(1),
-                    RefineStrategy::Mwk { sample_size, seed } => {
-                        h.write_u64(2);
-                        h.write_u64(*sample_size as u64);
-                        h.write_u64(*seed);
-                    }
-                    RefineStrategy::Mqwk {
-                        sample_size,
-                        query_samples,
-                        seed,
-                    } => {
-                        h.write_u64(3);
-                        h.write_u64(*sample_size as u64);
-                        h.write_u64(*query_samples as u64);
-                        h.write_u64(*seed);
-                    }
-                }
             }
             Request::WhyNot {
                 dataset,
@@ -707,8 +608,6 @@ pub enum Response {
         /// Whether the culprit list hit the request limit.
         truncated: bool,
     },
-    /// A minimum-penalty refinement.
-    Refinement(Refinement),
     /// The ranked why-not plan of a [`Request::WhyNot`].
     Plan(Plan),
     /// A mutation was applied; the dataset now holds this many live
@@ -837,7 +736,7 @@ mod tests {
         assert_eq!(r.kind(), RequestKind::TopK);
         assert_eq!(r.dataset(), "p");
         assert_eq!(r.kind().name(), "topk");
-        assert_eq!(RequestKind::ALL.len(), 9);
+        assert_eq!(RequestKind::ALL.len(), 8);
         assert_eq!(Request::Stats.kind(), RequestKind::Stats);
         assert_eq!(Request::Stats.dataset(), "");
         assert!(Request::Stats.validate().is_ok());
@@ -871,6 +770,8 @@ mod tests {
         tags.dedup();
         assert_eq!(tags.len(), REQUEST_KIND_TABLE.len(), "wire tags collide");
         assert_eq!(RequestKind::from_wire_tag(0), None);
+        // Tag 5 (the retired one-strategy refinement) stays reserved.
+        assert_eq!(RequestKind::from_wire_tag(5), None);
         assert_eq!(RequestKind::from_wire_tag(0xff), None);
     }
 

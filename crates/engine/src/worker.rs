@@ -29,8 +29,7 @@ use crate::catalog::{Catalog, DatasetEpoch, DatasetHandle};
 use crate::error::EngineError;
 use crate::metrics::{Metrics, StatsSnapshot};
 use crate::request::{
-    Plan, PlanDelta, PlanExplanation, PlanStep, RefineStrategy, Refinement, Request, Response,
-    WeightSet,
+    Plan, PlanDelta, PlanExplanation, PlanStep, Refinement, Request, Response, WeightSet,
 };
 use crate::ResultCache;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -39,7 +38,7 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use wqrtq_core::advisor::{AdvisorEvent, RankedStep, RefinementPlan, StrategyKind, WhyNotOptions};
+use wqrtq_core::advisor::{AdvisorEvent, RankedStep, RefinementPlan};
 use wqrtq_core::explain::Explanation;
 use wqrtq_core::framework::{RefinedQuery, Wqrtq, WqrtqAnswer};
 use wqrtq_geom::{DeltaView, Weight};
@@ -866,36 +865,6 @@ fn execute(
                 nodes,
             )
         }
-        Request::WhyNotRefine {
-            q,
-            k,
-            why_not,
-            strategy,
-            ..
-        } => {
-            let why_not: Vec<Weight> = why_not.iter().map(|w| Weight::new(w.clone())).collect();
-            // The shared pre-built index goes straight into the framework
-            // facade with the overlay snapshot — serving never rebuilds
-            // an index, mutated or not. The engine always takes the view
-            // path (plain datasets get a plain view), so plain and
-            // overlaid answers share one canonical frontier ordering and
-            // stay bit-comparable.
-            let wqrtq = match Wqrtq::with_view(handle.index.clone(), handle.view.clone(), q, *k) {
-                Ok(w) => w,
-                Err(e) => return (Response::Error(e.to_string()), 0),
-            };
-            // Thin shim over the advisor path: one strategy, exact-2D
-            // auto-selection pinned off, paper-default tolerances — the
-            // exact work and call chain of the pre-advisor worker (one
-            // validation pass, then the algorithm; no verification or
-            // breakdown is computed only to be discarded), so responses
-            // stay bit-identical (asserted by the differential test).
-            let (kind, options) = legacy_options(strategy);
-            match wqrtq.refine_answer(&why_not, kind, &options) {
-                Ok(answer) => (Response::Refinement(refinement_from(answer)), 0),
-                Err(e) => (Response::Error(e.to_string()), 0),
-            }
-        }
         Request::WhyNot {
             q,
             k,
@@ -904,6 +873,11 @@ fn execute(
             ..
         } => {
             let why_not: Vec<Weight> = why_not.iter().map(|w| Weight::new(w.clone())).collect();
+            // The shared pre-built index goes straight into the framework
+            // facade with the overlay snapshot — serving never rebuilds
+            // an index, mutated or not. Plain datasets get a plain view,
+            // so plain and overlaid answers share one canonical frontier
+            // ordering and stay bit-comparable.
             let wqrtq = match Wqrtq::with_view(handle.index.clone(), handle.view.clone(), q, *k) {
                 Ok(w) => w.with_tolerances(options.tol),
                 Err(e) => return (Response::Error(e.to_string()), 0),
@@ -1000,40 +974,6 @@ pub(crate) fn mutate(
         }
     }
     Ok(live_len)
-}
-
-/// Maps a legacy one-strategy request onto the advisor's step runner:
-/// the named strategy with its own budgets, exact-2D off, paper-default
-/// tolerances — exactly what the pre-advisor worker computed.
-fn legacy_options(strategy: &RefineStrategy) -> (StrategyKind, WhyNotOptions) {
-    let base = WhyNotOptions {
-        exact_2d: false,
-        ..WhyNotOptions::default()
-    };
-    match strategy {
-        RefineStrategy::Mqp => (StrategyKind::Mqp, base),
-        RefineStrategy::Mwk { sample_size, seed } => (
-            StrategyKind::Mwk,
-            WhyNotOptions {
-                sample_size: *sample_size,
-                seed: *seed,
-                ..base
-            },
-        ),
-        RefineStrategy::Mqwk {
-            sample_size,
-            query_samples,
-            seed,
-        } => (
-            StrategyKind::Mqwk,
-            WhyNotOptions {
-                sample_size: *sample_size,
-                query_samples: *query_samples,
-                seed: *seed,
-                ..base
-            },
-        ),
-    }
 }
 
 fn plan_explanation_from(explanation: &Explanation) -> PlanExplanation {

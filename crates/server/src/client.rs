@@ -304,8 +304,9 @@ impl Client {
     /// the engine's result cache arrives whole — zero deltas, then the
     /// plan.
     ///
-    /// Requires a v2 connection ([`Client::connect_v2`]); a v1
-    /// connection receives a typed server error instead.
+    /// Streaming needs a v2 connection ([`Client::connect_v2`]); on a v1
+    /// connection the server sends no partial frames, so `on_delta` is
+    /// never called and the final plan arrives alone.
     ///
     /// # Errors
     /// [`ClientError::Busy`] under backpressure; [`ClientError::Server`]

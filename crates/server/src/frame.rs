@@ -28,8 +28,9 @@ pub const MAGIC: [u8; 4] = *b"WQR1";
 /// it with a [`crate::wire::ServerFrame::Hello`] frame (the negotiation
 /// half-round-trip) and will stream progressive
 /// [`crate::wire::ServerFrame::ReplyPart`] frames for plan requests on
-/// this connection. A v1 preamble on the same server behaves exactly as
-/// before — v1 clients never see a frame kind they cannot decode.
+/// this connection. A v1 connection on the same server gets neither
+/// (its plan requests are answered by the final reply alone), so v1
+/// clients never see a frame kind they cannot decode.
 pub const MAGIC_V2: [u8; 4] = *b"WQR2";
 
 /// The protocol version the server speaks natively (negotiated down to

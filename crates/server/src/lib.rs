@@ -25,12 +25,14 @@
 //!
 //! The protocol comes in two dialects, negotiated by the connection
 //! preamble: **v1** ([`frame::MAGIC`]) is the legacy frames-only
-//! dialect and keeps working unchanged, while **v2**
-//! ([`frame::MAGIC_V2`]) is acknowledged with a
+//! dialect, where a why-not plan request
+//! ([`wqrtq_engine::Request::WhyNot`]) gets its final ranked plan as one
+//! reply, while **v2** ([`frame::MAGIC_V2`]) is acknowledged with a
 //! [`wire::ServerFrame::Hello`] frame and streams progressive
-//! [`wire::ServerFrame::ReplyPart`] partial results for why-not plan
-//! requests ([`wqrtq_engine::Request::WhyNot`]) ahead of the final
-//! ranked plan — see [`client::Client::submit_plan`].
+//! [`wire::ServerFrame::ReplyPart`] partial results ahead of that plan —
+//! see [`client::Client::submit_plan`]. Request tag 5 and reply tag 6
+//! belonged to the retired one-strategy refinement request; they stay
+//! reserved and decode as unknown tags.
 //!
 //! ```no_run
 //! use wqrtq_server::{Client, Server};

@@ -1223,8 +1223,8 @@ impl EventLoop {
 /// processed prefix.
 fn process_arena(shared: &Arc<Shared>, conn: &mut Conn, submit_buf: &mut Vec<BatchSubmission>) {
     // Preamble negotiation: the client proposes a protocol version by
-    // its magic; the server settles it. v1 connections behave exactly
-    // as they always did (no reply, no streaming); v2 connections are
+    // its magic; the server settles it. v1 connections get no Hello and
+    // only final replies (plans included); v2 connections are
     // acknowledged with a Hello frame and receive progressive
     // ReplyPart frames for plan requests.
     if conn.version == 0 {
@@ -1351,22 +1351,6 @@ fn submit(
     request: Request,
 ) {
     let is_plan = request.kind() == wqrtq_engine::RequestKind::WhyNot;
-    // Plan requests stream partial frames a v1 client could not decode;
-    // refuse them with a typed (non-fatal) error instead of poisoning
-    // the connection.
-    if conn.version < 2 && is_plan {
-        push_control(
-            shared,
-            conn,
-            id,
-            ServerFrame::Reply(Response::Error(
-                "why-not plan requests require protocol v2 (connect with the WQR2 \
-                 preamble)"
-                    .into(),
-            )),
-        );
-        return;
-    }
     if !shared.admission.try_acquire(shared.admission_capacity) {
         // ordering: Relaxed — monotonic busy tally, read only by stats
         // snapshots.
@@ -1388,6 +1372,8 @@ fn submit(
     // can decrement, or the loop could observe 0/0 and close early.
     conn.shared.in_flight.fetch_add(1, Ordering::SeqCst);
     let complete = completion(shared.clone(), conn.shared.clone(), id, trace_id);
+    // Only v2 clients get the partial frames; a v1 connection's plan
+    // request rides the batch path and receives the final reply alone.
     if conn.version >= 2 && is_plan {
         // Progressive partial frames ride the same bounded reply
         // backlog ahead of the final reply (same worker thread, so

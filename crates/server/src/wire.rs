@@ -18,9 +18,9 @@
 use crate::frame::{ByteReader, ByteWriter, DecodeError};
 use wqrtq_engine::{
     CacheStats, CatalogStats, HistogramSnapshot, KindSnapshot, MetricsSnapshot, PenaltyBreakdown,
-    Plan, PlanDelta, PlanExplanation, PlanStep, RefineStrategy, Refinement, Request, RequestKind,
-    Response, ServerCounters, Stage, StageSnapshot, StatsSnapshot, StrategyKind, Tolerances,
-    WeightSet, WhyNotOptions,
+    Plan, PlanDelta, PlanExplanation, PlanStep, Refinement, Request, RequestKind, Response,
+    ServerCounters, Stage, StageSnapshot, StatsSnapshot, StrategyKind, Tolerances, WeightSet,
+    WhyNotOptions,
 };
 
 /// Reserved request id for connection-level errors that cannot be
@@ -350,39 +350,6 @@ fn encode_request(w: &mut ByteWriter, request: &Request) {
             w.put_f64s(q);
             w.put_usize(*limit);
         }
-        Request::WhyNotRefine {
-            dataset,
-            q,
-            k,
-            why_not,
-            strategy,
-        } => {
-            w.put_str(dataset);
-            w.put_f64s(q);
-            w.put_usize(*k);
-            w.put_usize(why_not.len());
-            for weight in why_not {
-                w.put_f64s(weight);
-            }
-            match strategy {
-                RefineStrategy::Mqp => w.put_u8(1),
-                RefineStrategy::Mwk { sample_size, seed } => {
-                    w.put_u8(2);
-                    w.put_usize(*sample_size);
-                    w.put_u64(*seed);
-                }
-                RefineStrategy::Mqwk {
-                    sample_size,
-                    query_samples,
-                    seed,
-                } => {
-                    w.put_u8(3);
-                    w.put_usize(*sample_size);
-                    w.put_usize(*query_samples);
-                    w.put_u64(*seed);
-                }
-            }
-        }
         Request::WhyNot {
             dataset,
             q,
@@ -507,35 +474,6 @@ fn decode_request(r: &mut ByteReader<'_>) -> Result<Request, DecodeError> {
             q: r.take_f64s("query point")?,
             limit: r.take_usize("limit")?,
         },
-        RequestKind::WhyNotRefine => {
-            let dataset = r.take_str("dataset")?;
-            let q = r.take_f64s("query point")?;
-            let k = r.take_usize("k")?;
-            let count = r.take_count(8, "why-not count")?;
-            let why_not = (0..count)
-                .map(|_| r.take_f64s("why-not vector"))
-                .collect::<Result<_, _>>()?;
-            let strategy = match r.take_u8("strategy tag")? {
-                1 => RefineStrategy::Mqp,
-                2 => RefineStrategy::Mwk {
-                    sample_size: r.take_usize("sample size")?,
-                    seed: r.take_u64("seed")?,
-                },
-                3 => RefineStrategy::Mqwk {
-                    sample_size: r.take_usize("sample size")?,
-                    query_samples: r.take_usize("query samples")?,
-                    seed: r.take_u64("seed")?,
-                },
-                _ => return Err(DecodeError::new("unknown strategy tag")),
-            };
-            Request::WhyNotRefine {
-                dataset,
-                q,
-                k,
-                why_not,
-                strategy,
-            }
-        }
         RequestKind::WhyNot => {
             let dataset = r.take_str("dataset")?;
             let q = r.take_f64s("query point")?;
@@ -571,13 +509,15 @@ fn decode_request(r: &mut ByteReader<'_>) -> Result<Request, DecodeError> {
     })
 }
 
-// Response body tags (one per `Response` variant).
+// Response body tags (one per `Response` variant). Tag 6 is reserved:
+// it carried the retired one-strategy refinement reply and is never
+// reused (as request tag 5 is in `REQUEST_KIND_TABLE`), so a stale
+// peer's frame fails to decode instead of being misread.
 const RESP_TOPK: u8 = 1;
 const RESP_MONO_EXACT: u8 = 2;
 const RESP_MONO_SAMPLED: u8 = 3;
 const RESP_RTOPK_BI: u8 = 4;
 const RESP_EXPLANATION: u8 = 5;
-const RESP_REFINEMENT: u8 = 6;
 const RESP_MUTATED: u8 = 7;
 const RESP_ERROR: u8 = 8;
 const RESP_PLAN: u8 = 9;
@@ -633,10 +573,6 @@ fn encode_response(w: &mut ByteWriter, response: &Response) {
                 w.put_f64(*score);
             }
             w.put_u8(u8::from(*truncated));
-        }
-        Response::Refinement(refinement) => {
-            w.put_u8(RESP_REFINEMENT);
-            encode_refinement(w, refinement);
         }
         Response::Plan(plan) => {
             w.put_u8(RESP_PLAN);
@@ -1054,7 +990,6 @@ fn decode_response(r: &mut ByteReader<'_>) -> Result<Response, DecodeError> {
                 truncated: r.take_u8("truncated flag")? != 0,
             }
         }
-        RESP_REFINEMENT => Response::Refinement(decode_refinement(r)?),
         RESP_PLAN => Response::Plan(decode_plan(r)?),
         RESP_STATS => Response::Stats(Box::new(decode_stats(r)?)),
         RESP_MUTATED => Response::Mutated {
@@ -1100,34 +1035,6 @@ mod tests {
                 weight: vec![0.1, 0.9],
                 q: vec![4.0, 4.0],
                 limit: 10,
-            },
-            Request::WhyNotRefine {
-                dataset: "p".into(),
-                q: vec![4.0, 4.0],
-                k: 3,
-                why_not: vec![vec![0.1, 0.9]],
-                strategy: RefineStrategy::Mqp,
-            },
-            Request::WhyNotRefine {
-                dataset: "p".into(),
-                q: vec![4.0, 4.0],
-                k: 3,
-                why_not: vec![vec![0.1, 0.9], vec![0.9, 0.1]],
-                strategy: RefineStrategy::Mwk {
-                    sample_size: 100,
-                    seed: 7,
-                },
-            },
-            Request::WhyNotRefine {
-                dataset: "p".into(),
-                q: vec![4.0, 4.0],
-                k: 3,
-                why_not: vec![vec![0.1, 0.9]],
-                strategy: RefineStrategy::Mqwk {
-                    sample_size: 100,
-                    query_samples: 20,
-                    seed: 7,
-                },
             },
             Request::WhyNot {
                 dataset: "p".into(),
@@ -1298,6 +1205,25 @@ mod tests {
                     sample_size: 0,
                     query_samples: 0,
                 },
+                PlanStep {
+                    strategy: StrategyKind::Mqp,
+                    refinement: Refinement {
+                        q_prime: Some(vec![3.375, 3.625]),
+                        why_not: None,
+                        k: None,
+                        penalty: 0.125,
+                    },
+                    breakdown: PenaltyBreakdown {
+                        combined: 0.125,
+                        query_term: 0.125,
+                        k_term: 0.0,
+                        weight_term: 0.0,
+                    },
+                    verified: false,
+                    exact: false,
+                    sample_size: 0,
+                    query_samples: 0,
+                },
             ],
         }
     }
@@ -1316,24 +1242,6 @@ mod tests {
                 culprits: vec![(2, 7.5), (5, 8.0)],
                 truncated: true,
             },
-            Response::Refinement(Refinement {
-                q_prime: Some(vec![3.375, 3.625]),
-                why_not: None,
-                k: None,
-                penalty: 0.0625,
-            }),
-            Response::Refinement(Refinement {
-                q_prime: None,
-                why_not: Some(vec![vec![0.2, 0.8]]),
-                k: Some(4),
-                penalty: 0.5,
-            }),
-            Response::Refinement(Refinement {
-                q_prime: Some(vec![1.0]),
-                why_not: Some(vec![vec![1.0]]),
-                k: Some(2),
-                penalty: 0.25,
-            }),
             Response::Plan(sample_plan()),
             Response::Stats(Box::new(sample_stats(None))),
             Response::Stats(Box::new(sample_stats(Some(ServerCounters {
@@ -1497,6 +1405,31 @@ mod tests {
         let mut w = ByteWriter::new();
         w.put_u64(1);
         w.put_u8(0x02);
+        assert!(ServerFrame::decode(&w.into_vec()).is_err());
+
+        // Request tag 5 and reply tag 6 (the retired one-strategy
+        // refinement) are reserved: well-formed old bodies still fail.
+        let mut w = ByteWriter::new();
+        w.put_u64(1);
+        w.put_u8(OP_SUBMIT);
+        w.put_u8(5);
+        w.put_str("p");
+        w.put_f64s(&[4.0, 4.0]);
+        w.put_usize(3);
+        w.put_usize(1);
+        w.put_f64s(&[0.1, 0.9]);
+        w.put_u8(StrategyKind::Mqp.tag());
+        assert!(ClientFrame::decode(&w.into_vec()).is_err());
+
+        let mut w = ByteWriter::new();
+        w.put_u64(1);
+        w.put_u8(OP_REPLY);
+        w.put_u8(6);
+        w.put_u8(1);
+        w.put_f64s(&[3.375, 3.625]);
+        w.put_u8(0);
+        w.put_u8(0);
+        w.put_f64(0.125);
         assert!(ServerFrame::decode(&w.into_vec()).is_err());
     }
 

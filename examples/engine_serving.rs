@@ -59,24 +59,23 @@ fn main() {
             q: vec![4.0, 4.0],
             limit: 5,
         },
-        Request::WhyNotRefine {
+    ];
+    // One single-strategy why-not plan per refinement, sampled MWK.
+    for strategy in [StrategyKind::Mqp, StrategyKind::Mwk] {
+        batch.push(Request::WhyNot {
             dataset: "figure1".into(),
             q: vec![4.0, 4.0],
             k: 3,
             why_not: vec![vec![0.1, 0.9], vec![0.9, 0.1]],
-            strategy: RefineStrategy::Mqp,
-        },
-        Request::WhyNotRefine {
-            dataset: "figure1".into(),
-            q: vec![4.0, 4.0],
-            k: 3,
-            why_not: vec![vec![0.1, 0.9], vec![0.9, 0.1]],
-            strategy: RefineStrategy::Mwk {
+            options: WhyNotOptions {
+                strategies: vec![strategy],
                 sample_size: 200,
                 seed: 7,
+                exact_2d: false,
+                ..WhyNotOptions::default()
             },
-        },
-    ];
+        });
+    }
     for i in 0..24 {
         let t = i as f64 / 24.0;
         batch.push(Request::TopK {
@@ -140,10 +139,6 @@ fn describe(label: &str, response: &Response, fig: &figure1::Figure1) {
                 .collect();
             println!("{label}: rank {rank}, outranked by {names:?}");
         }
-        Response::Refinement(r) => println!(
-            "{label}: penalty {:.4}, q′ {:?}, k′ {:?}",
-            r.penalty, r.q_prime, r.k
-        ),
         Response::Plan(plan) => {
             let best = plan.recommended();
             println!(

@@ -12,6 +12,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
+use wqrtq::core::advisor::WhyNotOptions;
 use wqrtq::core::framework::{RefinedQuery, Wqrtq};
 use wqrtq::data::realistic::household_like_scaled;
 use wqrtq::geom::{DeltaView, FlatPoints, Weight};
@@ -88,10 +89,17 @@ fn main() {
     }
 
     println!("\nrefinement options (penalty-ordered):");
-    let answers = wqrtq
-        .all_refinements(&segment, 400, 400, 7)
+    let options = WhyNotOptions {
+        sample_size: 400,
+        query_samples: 400,
+        seed: 7,
+        exact_2d: false,
+        ..WhyNotOptions::default()
+    };
+    let plan = wqrtq
+        .advise(&segment, &options)
         .expect("refinement succeeds");
-    for a in &answers {
+    for a in plan.steps.iter().map(|step| &step.answer) {
         match &a.refined {
             RefinedQuery::QueryPoint { q_prime } => {
                 let cut: f64 = q.iter().zip(q_prime).map(|(a, b)| (a - b).max(0.0)).sum();

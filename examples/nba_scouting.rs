@@ -10,7 +10,8 @@
 //! Run with: `cargo run --release --example nba_scouting`
 
 use std::sync::Arc;
-use wqrtq::core::framework::{RefinedQuery, Wqrtq};
+use wqrtq::core::advisor::{StrategyKind, WhyNotOptions};
+use wqrtq::core::framework::{RefinedQuery, Wqrtq, WqrtqAnswer};
 use wqrtq::data::realistic::nba_like_scaled;
 use wqrtq::geom::{DeltaView, FlatPoints, Weight};
 use wqrtq::query::rank::rank_of_point_view;
@@ -19,6 +20,28 @@ use wqrtq::rtree::RTree;
 const CATS: [&str; 13] = [
     "PTS", "REB", "AST", "STL", "BLK", "FG%", "3P%", "FT%", "MIN", "GP", "TOV", "PF", "+/-",
 ];
+
+/// One strategy's refinement (seed 7), through a one-strategy plan.
+fn refine(
+    wqrtq: &Wqrtq<&RTree>,
+    why_not: &[Weight],
+    strategy: StrategyKind,
+    sample_size: usize,
+    query_samples: usize,
+) -> WqrtqAnswer {
+    let options = WhyNotOptions {
+        strategies: vec![strategy],
+        sample_size,
+        query_samples,
+        seed: 7,
+        exact_2d: false,
+        ..WhyNotOptions::default()
+    };
+    let plan = wqrtq
+        .advise(why_not, &options)
+        .unwrap_or_else(|e| panic!("{} fails: {e}", strategy.name()));
+    plan.steps.into_iter().next().expect("one step").answer
+}
 
 fn main() {
     let k = 25;
@@ -80,7 +103,7 @@ fn main() {
     let wqrtq = Wqrtq::with_view(&tree, view, &q, k).expect("dimensions match");
 
     // Training plan: MQP tells us which categories to improve.
-    let answer = wqrtq.modify_query(&why_not).expect("MQP succeeds");
+    let answer = refine(&wqrtq, &why_not, StrategyKind::Mqp, 0, 0);
     if let RefinedQuery::QueryPoint { q_prime } = &answer.refined {
         println!("\ntraining plan (penalty {:.4}):", answer.penalty);
         for (i, (old, new)) in q.iter().zip(q_prime).enumerate() {
@@ -97,9 +120,7 @@ fn main() {
     assert!(wqrtq.verify(&why_not, &answer));
 
     // Alternative: how little would the staffs need to re-weight?
-    let answer = wqrtq
-        .modify_preferences(&why_not, 600, 7)
-        .expect("MWK succeeds");
+    let answer = refine(&wqrtq, &why_not, StrategyKind::Mwk, 600, 0);
     if let RefinedQuery::Preferences {
         why_not: refined,
         k: k2,
@@ -122,9 +143,7 @@ fn main() {
     assert!(wqrtq.verify(&why_not, &answer));
 
     // And the negotiated compromise.
-    let answer = wqrtq
-        .modify_all(&why_not, 300, 300, 7)
-        .expect("MQWK succeeds");
+    let answer = refine(&wqrtq, &why_not, StrategyKind::Mqwk, 300, 300);
     println!(
         "\ncompromise penalty: {:.4} (never worse than either)",
         answer.penalty

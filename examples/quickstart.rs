@@ -8,6 +8,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use std::sync::Arc;
+use wqrtq::core::advisor::WhyNotOptions;
 use wqrtq::core::framework::{RefinedQuery, Wqrtq};
 use wqrtq::data::figure1;
 use wqrtq::geom::{DeltaView, FlatPoints};
@@ -77,10 +78,18 @@ fn main() {
     }
 
     println!("\n== Aspect 2: minimum-penalty refinements ==");
-    let answers = wqrtq
-        .all_refinements(&why_not, 800, 800, 2015)
+    // All three strategies, cheapest first, on the sampled MWK path.
+    let options = WhyNotOptions {
+        sample_size: 800,
+        query_samples: 800,
+        seed: 2015,
+        exact_2d: false,
+        ..WhyNotOptions::default()
+    };
+    let plan = wqrtq
+        .advise(&why_not, &options)
         .expect("refinement succeeds");
-    for a in &answers {
+    for a in plan.steps.iter().map(|step| &step.answer) {
         match &a.refined {
             RefinedQuery::QueryPoint { q_prime } => println!(
                 "  MQP   penalty {:.3}: redesign the computer as ({:.2}, {:.2})",

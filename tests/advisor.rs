@@ -1,18 +1,15 @@
 //! Integration tests for the why-not advisor: plan optimality under
 //! randomised workloads (the recommendation is minimal and every
-//! alternative verifies), and the differential proof that the legacy
-//! one-strategy requests — now thin shims over the advisor path — answer
-//! bit-identically to the pre-advisor behaviour (direct framework
-//! calls, which is exactly what the PR-4 worker executed).
+//! alternative verifies), typed errors at the request boundary, plan
+//! determinism across worker counts, and the explain request's
+//! bit-identity with the core explanation path.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use wqrtq::core::advisor::{StrategyKind, WhyNotOptions};
 use wqrtq::core::framework::Wqrtq;
 use wqrtq::core::penalty::Tolerances;
-use wqrtq::engine::{
-    Engine, PlanDelta, RefineStrategy, Request, Response, WhyNotOptions as EngineOptions,
-};
+use wqrtq::engine::{Engine, PlanDelta, Request, Response, WhyNotOptions as EngineOptions};
 use wqrtq::geom::{DeltaView, FlatPoints, Weight};
 use wqrtq::query::rank::rank_of_point_scan;
 use wqrtq::rtree::RTree;
@@ -96,108 +93,10 @@ proptest! {
     }
 }
 
-/// The PR-4 oracle for a legacy refine request: the exact call chain the
-/// pre-advisor worker executed (facade over the catalog's shared index +
-/// view, then one `modify_*` call).
-fn legacy_oracle(engine: &Engine, request: &Request) -> Response {
-    let (q, k, why_not, strategy) = match request {
-        Request::WhyNotRefine {
-            q,
-            k,
-            why_not,
-            strategy,
-            ..
-        } => (q, *k, why_not, strategy),
-        other => panic!("not a legacy refine request: {other:?}"),
-    };
-    let handle = engine.catalog().handle(request.dataset()).unwrap();
-    let wn: Vec<Weight> = why_not.iter().map(|w| Weight::new(w.clone())).collect();
-    let wqrtq = Wqrtq::with_view(handle.index.clone(), handle.view.clone(), q, k).unwrap();
-    let answer = match strategy {
-        RefineStrategy::Mqp => wqrtq.modify_query(&wn),
-        RefineStrategy::Mwk { sample_size, seed } => {
-            wqrtq.modify_preferences(&wn, *sample_size, *seed)
-        }
-        RefineStrategy::Mqwk {
-            sample_size,
-            query_samples,
-            seed,
-        } => wqrtq.modify_all(&wn, *sample_size, *query_samples, *seed),
-    }
-    .unwrap();
-    // Mirror the worker's plain-data conversion.
-    use wqrtq::core::framework::RefinedQuery;
-    let to_raw = |ws: Vec<Weight>| ws.into_iter().map(Weight::into_vec).collect::<Vec<_>>();
-    let refinement = match answer.refined {
-        RefinedQuery::QueryPoint { q_prime } => wqrtq::engine::Refinement {
-            q_prime: Some(q_prime),
-            why_not: None,
-            k: None,
-            penalty: answer.penalty,
-        },
-        RefinedQuery::Preferences { why_not, k } => wqrtq::engine::Refinement {
-            q_prime: None,
-            why_not: Some(to_raw(why_not)),
-            k: Some(k),
-            penalty: answer.penalty,
-        },
-        RefinedQuery::Everything {
-            q_prime,
-            why_not,
-            k,
-        } => wqrtq::engine::Refinement {
-            q_prime: Some(q_prime),
-            why_not: Some(to_raw(why_not)),
-            k: Some(k),
-            penalty: answer.penalty,
-        },
-    };
-    Response::Refinement(refinement)
-}
-
-fn legacy_refines() -> Vec<Request> {
-    [
-        RefineStrategy::Mqp,
-        RefineStrategy::Mwk {
-            sample_size: 96,
-            seed: 11,
-        },
-        RefineStrategy::Mqwk {
-            sample_size: 64,
-            query_samples: 24,
-            seed: 13,
-        },
-    ]
-    .into_iter()
-    .map(|strategy| Request::WhyNotRefine {
-        dataset: "products".into(),
-        q: vec![4.0, 4.0],
-        k: 3,
-        why_not: kevin_julia(),
-        strategy,
-    })
-    .collect()
-}
-
-/// Legacy shim responses stay bit-identical to the pre-advisor (PR-4)
-/// behaviour: the served refinement matches the direct framework call
-/// chain to the last float bit.
+/// The explain request equals the core explanation path bit for bit.
 #[test]
-fn legacy_shims_answer_bit_identically_to_the_pre_advisor_path() {
+fn explain_requests_answer_bit_identically_to_the_core_path() {
     let engine = figure1_engine();
-    for request in legacy_refines() {
-        let served = engine.submit(request.clone());
-        let oracle = legacy_oracle(&engine, &request);
-        assert_eq!(served, oracle, "shim drifted for {request:?}");
-        // PartialEq on f64 fields would accept -0.0 vs 0.0; pin the bits.
-        match (&served, &oracle) {
-            (Response::Refinement(a), Response::Refinement(b)) => {
-                assert_eq!(a.penalty.to_bits(), b.penalty.to_bits());
-            }
-            other => panic!("unexpected response pair {other:?}"),
-        }
-    }
-    // The explain shim equals the core explanation path.
     let served = engine.submit(Request::WhyNotExplain {
         dataset: "products".into(),
         weight: vec![0.1, 0.9],
@@ -225,71 +124,6 @@ fn legacy_shims_answer_bit_identically_to_the_pre_advisor_path() {
             assert_eq!(culprits, expected);
         }
         other => panic!("expected an explanation, got {other:?}"),
-    }
-}
-
-/// Each step of a sampled-path plan is bit-identical to the matching
-/// legacy one-strategy request — one `WhyNot` round trip really does
-/// subsume the three legacy calls.
-#[test]
-fn plan_steps_match_legacy_single_strategy_responses_bit_for_bit() {
-    let engine = figure1_engine();
-    let plan_request = Request::WhyNot {
-        dataset: "products".into(),
-        q: vec![4.0, 4.0],
-        k: 3,
-        why_not: kevin_julia(),
-        options: EngineOptions {
-            sample_size: 96,
-            query_samples: 24,
-            seed: 11,
-            exact_2d: false,
-            ..EngineOptions::default()
-        },
-    };
-    let plan = match engine.submit(plan_request) {
-        Response::Plan(plan) => plan,
-        other => panic!("expected a plan, got {other:?}"),
-    };
-    for (kind, strategy) in [
-        (StrategyKind::Mqp, RefineStrategy::Mqp),
-        (
-            StrategyKind::Mwk,
-            RefineStrategy::Mwk {
-                sample_size: 96,
-                seed: 11,
-            },
-        ),
-        (
-            StrategyKind::Mqwk,
-            RefineStrategy::Mqwk {
-                sample_size: 96,
-                query_samples: 24,
-                seed: 11,
-            },
-        ),
-    ] {
-        let legacy = engine.submit(Request::WhyNotRefine {
-            dataset: "products".into(),
-            q: vec![4.0, 4.0],
-            k: 3,
-            why_not: kevin_julia(),
-            strategy,
-        });
-        let refinement = match legacy {
-            Response::Refinement(r) => r,
-            other => panic!("expected a refinement, got {other:?}"),
-        };
-        let step = plan
-            .steps
-            .iter()
-            .find(|s| s.strategy == kind)
-            .unwrap_or_else(|| panic!("plan lacks a {kind:?} step"));
-        assert_eq!(step.refinement, refinement, "{kind:?} drifted");
-        assert_eq!(
-            step.refinement.penalty.to_bits(),
-            refinement.penalty.to_bits()
-        );
     }
 }
 
@@ -367,16 +201,13 @@ fn invalid_options_are_rejected_with_typed_errors() {
             "sampling budget",
         ),
         (
-            Request::WhyNotRefine {
-                dataset: "products".into(),
-                q: vec![4.0, 4.0],
-                k: 3,
-                why_not: kevin_julia(),
-                strategy: RefineStrategy::Mwk {
-                    sample_size: 1 << 40,
-                    seed: 1,
-                },
-            },
+            base(EngineOptions {
+                strategies: vec![StrategyKind::Mwk],
+                sample_size: 1 << 40,
+                seed: 1,
+                exact_2d: false,
+                ..EngineOptions::default()
+            }),
             "sampling budget",
         ),
         (
@@ -402,8 +233,8 @@ fn invalid_options_are_rejected_with_typed_errors() {
     assert_eq!(engine.metrics().cache.len, 0);
 }
 
-/// A not-actually-why-not vector fails the plan the same way it fails
-/// the legacy strategies: a typed error naming the offending vector.
+/// A not-actually-why-not vector fails the plan with a typed error
+/// naming the offending vector.
 #[test]
 fn member_vectors_fail_the_plan_with_a_typed_error() {
     let engine = figure1_engine();

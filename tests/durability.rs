@@ -22,7 +22,7 @@ use wqrtq::engine::storage::{
     Durability, FsyncPolicy, MemBackend, StorageBackend, StorageError, WalRecordRef, RECORD_MAGIC,
 };
 use wqrtq::engine::{Engine, Request, Response, WeightSet};
-use wqrtq::prelude::RefineStrategy;
+use wqrtq::prelude::{StrategyKind, WhyNotOptions};
 use wqrtq_server::{Client, Server};
 
 /// A unique temp directory per test (removed on drop, best-effort).
@@ -108,27 +108,27 @@ fn query_battery() -> Vec<Request> {
             q: q.clone(),
             k: 3,
             why_not: vec![vec![0.1, 0.9], vec![0.9, 0.1]],
-            options: wqrtq::prelude::WhyNotOptions::default(),
+            options: WhyNotOptions::default(),
         },
     ];
-    for strategy in [
-        RefineStrategy::Mqp,
-        RefineStrategy::Mwk {
-            sample_size: 40,
-            seed: 9,
-        },
-        RefineStrategy::Mqwk {
-            sample_size: 30,
-            query_samples: 10,
-            seed: 5,
-        },
+    for (strategy, sample_size, query_samples, seed) in [
+        (StrategyKind::Mqp, 200, 200, 0),
+        (StrategyKind::Mwk, 40, 200, 9),
+        (StrategyKind::Mqwk, 30, 10, 5),
     ] {
-        batch.push(Request::WhyNotRefine {
+        batch.push(Request::WhyNot {
             dataset: "d".into(),
             q: q.clone(),
             k: 3,
             why_not: vec![vec![0.15, 0.85]],
-            strategy,
+            options: WhyNotOptions {
+                strategies: vec![strategy],
+                sample_size,
+                query_samples,
+                seed,
+                exact_2d: false,
+                ..WhyNotOptions::default()
+            },
         });
     }
     batch

@@ -9,6 +9,23 @@ use wqrtq::data::synthetic::independent;
 use wqrtq::geom::FlatPoints;
 use wqrtq::prelude::*;
 
+/// Advisor options running one strategy on the sampled path.
+fn sampled(
+    strategy: StrategyKind,
+    sample_size: usize,
+    query_samples: usize,
+    seed: u64,
+) -> WhyNotOptions {
+    WhyNotOptions {
+        strategies: vec![strategy],
+        sample_size,
+        query_samples,
+        seed,
+        exact_2d: false,
+        ..WhyNotOptions::default()
+    }
+}
+
 /// A mixed batch covering every request kind against two datasets.
 fn mixed_batch() -> Vec<Request> {
     let mut batch = Vec::new();
@@ -52,24 +69,13 @@ fn mixed_batch() -> Vec<Request> {
         q: vec![4.0, 4.0],
         k: 4,
     });
-    for strategy in [
-        RefineStrategy::Mqp,
-        RefineStrategy::Mwk {
-            sample_size: 120,
-            seed: 7,
-        },
-        RefineStrategy::Mqwk {
-            sample_size: 120,
-            query_samples: 60,
-            seed: 7,
-        },
-    ] {
-        batch.push(Request::WhyNotRefine {
+    for strategy in StrategyKind::ALL {
+        batch.push(Request::WhyNot {
             dataset: "figure1".into(),
             q: vec![4.0, 4.0],
             k: 3,
             why_not: vec![vec![0.1, 0.9], vec![0.9, 0.1]],
-            strategy,
+            options: sampled(strategy, 120, 60, 7),
         });
     }
     // One deliberate failure: responses must stay slot-aligned around it.
@@ -186,26 +192,26 @@ fn engine_refinements_match_direct_framework_calls() {
     let wqrtq = Wqrtq::with_view(&tree, view, &[4.0, 4.0], 3).unwrap();
     let why_not = vec![Weight::new(vec![0.1, 0.9]), Weight::new(vec![0.9, 0.1])];
 
-    let direct = wqrtq.modify_preferences(&why_not, 120, 7).unwrap();
-    let served = engine.submit(Request::WhyNotRefine {
+    let options = sampled(StrategyKind::Mwk, 120, 200, 7);
+    let direct = wqrtq.advise(&why_not, &options).unwrap();
+    let direct = &direct.recommended().answer;
+    let served = engine.submit(Request::WhyNot {
         dataset: "figure1".into(),
         q: vec![4.0, 4.0],
         k: 3,
         why_not: vec![vec![0.1, 0.9], vec![0.9, 0.1]],
-        strategy: RefineStrategy::Mwk {
-            sample_size: 120,
-            seed: 7,
-        },
+        options,
     });
     match served {
-        Response::Refinement(r) => {
+        Response::Plan(plan) => {
+            let r = &plan.recommended().refinement;
             assert!((r.penalty - direct.penalty).abs() < 1e-12);
-            match direct.refined {
-                RefinedQuery::Preferences { k, .. } => assert_eq!(r.k, Some(k)),
+            match &direct.refined {
+                RefinedQuery::Preferences { k, .. } => assert_eq!(r.k, Some(*k)),
                 other => panic!("MWK returns Preferences, got {other:?}"),
             }
         }
-        other => panic!("expected refinement, got {other:?}"),
+        other => panic!("expected plan, got {other:?}"),
     }
 }
 
@@ -223,12 +229,12 @@ fn why_not_plans_with_k_zero_get_a_typed_error_reply() {
             why_not: why_not.clone(),
             options: WhyNotOptions::default(),
         },
-        Request::WhyNotRefine {
+        Request::WhyNot {
             dataset: "figure1".into(),
             q: vec![4.0, 4.0],
             k: 0,
             why_not,
-            strategy: RefineStrategy::Mqp,
+            options: sampled(StrategyKind::Mqp, 200, 200, 0),
         },
     ];
     for request in requests {

@@ -16,7 +16,7 @@
 //! the CI smoke run sets 3).
 
 use wqrtq::engine::{Engine, Request, Response, WeightSet};
-use wqrtq::prelude::RefineStrategy;
+use wqrtq::prelude::{StrategyKind, WhyNotOptions};
 
 /// Deterministic LCG, good enough to drive op choices and coordinates.
 struct Rng(u64);
@@ -113,6 +113,14 @@ fn map_ids(response: Response, ids: &[u32]) -> Response {
                 .collect(),
             truncated,
         },
+        Response::Plan(mut plan) => {
+            for explanation in &mut plan.explanations {
+                for (id, _) in &mut explanation.culprits {
+                    *id = ids[*id as usize];
+                }
+            }
+            Response::Plan(plan)
+        }
         other => other,
     }
 }
@@ -161,24 +169,24 @@ fn query_battery(dim: usize, rng: &mut Rng) -> Vec<Request> {
         },
     ];
     let why_not = vec![weights[7].clone()];
-    for strategy in [
-        RefineStrategy::Mqp,
-        RefineStrategy::Mwk {
-            sample_size: 40,
-            seed: 9,
-        },
-        RefineStrategy::Mqwk {
-            sample_size: 30,
-            query_samples: 10,
-            seed: 5,
-        },
+    for (strategy, sample_size, query_samples, seed) in [
+        (StrategyKind::Mqp, 200, 200, 0),
+        (StrategyKind::Mwk, 40, 200, 9),
+        (StrategyKind::Mqwk, 30, 10, 5),
     ] {
-        batch.push(Request::WhyNotRefine {
+        batch.push(Request::WhyNot {
             dataset: "d".into(),
             q: q.clone(),
             k: 1 + rng.below(4),
             why_not: why_not.clone(),
-            strategy,
+            options: WhyNotOptions {
+                strategies: vec![strategy],
+                sample_size,
+                query_samples,
+                seed,
+                exact_2d: false,
+                ..WhyNotOptions::default()
+            },
         });
     }
     batch

@@ -3,6 +3,7 @@
 //! public facade.
 
 use std::sync::Arc;
+use wqrtq::core::advisor::WhyNotOptions;
 use wqrtq::core::framework::{RefinedQuery, Wqrtq};
 use wqrtq::core::mqp::mqp_view;
 use wqrtq::core::mqwk::mqwk_view;
@@ -170,7 +171,15 @@ fn facade_end_to_end_matches_paper_ordering() {
     let (data, tree, view) = setup();
     let wqrtq = Wqrtq::with_view(&tree, view, data.apple.coords(), 3).unwrap();
     let why_not = data.why_not_customers();
-    let answers = wqrtq.all_refinements(&why_not, 800, 800, 7).unwrap();
+    let options = WhyNotOptions {
+        sample_size: 800,
+        query_samples: 800,
+        seed: 7,
+        exact_2d: false,
+        ..WhyNotOptions::default()
+    };
+    let plan = wqrtq.advise(&why_not, &options).unwrap();
+    let answers: Vec<_> = plan.steps.into_iter().map(|step| step.answer).collect();
     assert!(matches!(
         answers[0].refined,
         RefinedQuery::Everything { .. }

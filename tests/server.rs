@@ -8,7 +8,7 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
-use wqrtq_engine::{RefineStrategy, Request, Response, WeightSet};
+use wqrtq_engine::{Engine, Request, Response, StrategyKind, WeightSet, WhyNotOptions};
 use wqrtq_server::{Client, ClientError, ClientFrame, Server, ServerFrame};
 
 /// Figure 1 products (paper §1).
@@ -33,6 +33,31 @@ fn scatter(n: usize, dim: usize, seed: u64) -> Vec<f64> {
         v.push((state >> 11) as f64 / (1u64 << 53) as f64 * 10.0);
     }
     v
+}
+
+/// A why-not plan running one strategy on the sampled path.
+fn one_strategy(
+    dataset: &str,
+    strategy: StrategyKind,
+    why_not: Vec<Vec<f64>>,
+    sample_size: usize,
+    query_samples: usize,
+    seed: u64,
+) -> Request {
+    Request::WhyNot {
+        dataset: dataset.into(),
+        q: vec![4.0, 4.0],
+        k: 3,
+        why_not,
+        options: WhyNotOptions {
+            strategies: vec![strategy],
+            sample_size,
+            query_samples,
+            seed,
+            exact_2d: false,
+            ..WhyNotOptions::default()
+        },
+    }
 }
 
 /// Every request kind and strategy, parameterised by catalog names so
@@ -79,34 +104,16 @@ fn all_kind_requests(ds2: &str, ds3: &str, pop: &str) -> Vec<Request> {
             q: vec![4.0, 4.0],
             limit: 10,
         },
-        Request::WhyNotRefine {
-            dataset: ds2.into(),
-            q: vec![4.0, 4.0],
-            k: 3,
-            why_not: vec![vec![0.1, 0.9]],
-            strategy: RefineStrategy::Mqp,
-        },
-        Request::WhyNotRefine {
-            dataset: ds2.into(),
-            q: vec![4.0, 4.0],
-            k: 3,
-            why_not: vec![vec![0.1, 0.9], vec![0.9, 0.1]],
-            strategy: RefineStrategy::Mwk {
-                sample_size: 48,
-                seed: 11,
-            },
-        },
-        Request::WhyNotRefine {
-            dataset: ds2.into(),
-            q: vec![4.0, 4.0],
-            k: 3,
-            why_not: vec![vec![0.1, 0.9]],
-            strategy: RefineStrategy::Mqwk {
-                sample_size: 32,
-                query_samples: 8,
-                seed: 13,
-            },
-        },
+        one_strategy(ds2, StrategyKind::Mqp, vec![vec![0.1, 0.9]], 200, 200, 0),
+        one_strategy(
+            ds2,
+            StrategyKind::Mwk,
+            vec![vec![0.1, 0.9], vec![0.9, 0.1]],
+            48,
+            200,
+            11,
+        ),
+        one_strategy(ds2, StrategyKind::Mqwk, vec![vec![0.1, 0.9]], 32, 8, 13),
         // Mutations, then a query observing their effect.
         Request::Append {
             dataset: ds2.into(),
@@ -777,17 +784,51 @@ fn v2_plan_streams_partials_before_the_final_ranked_plan() {
 }
 
 #[test]
-fn v1_connections_refuse_plan_requests_with_a_typed_error() {
+fn v1_connections_receive_final_plans_bit_identical_to_in_process() {
     let server = serving_fixture();
     let mut v1 = Client::connect(server.local_addr()).unwrap();
-    v1.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    match v1.submit(&plan_request("p")) {
-        Ok(Response::Error(msg)) => {
-            assert!(msg.contains("protocol v2"), "unexpected message: {msg}")
-        }
-        other => panic!("expected a typed error reply, got {other:?}"),
+    v1.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    // A fresh in-process engine over the same data, so the comparison
+    // is against an independent computation, not the server's cache.
+    let reference = Engine::builder().workers(1).build();
+    reference
+        .register_dataset("p", 2, PRODUCTS_2D.to_vec())
+        .unwrap();
+    let why_not = vec![vec![0.1, 0.9], vec![0.9, 0.1]];
+    let one = |seed| one_strategy("p", StrategyKind::Mqwk, why_not.clone(), 48, 16, seed);
+    let mut all_via_plan = plan_request("p");
+    if let Request::WhyNot { options, .. } = &mut all_via_plan {
+        options.seed = 6;
     }
-    // The connection survives — the refusal is a reply, not a violation.
+    // Distinct seeds keep every request a cache miss on the server, so
+    // each one really runs the advisor behind the v1 connection.
+    let via_submit = [one(1), plan_request("p")];
+    let via_plan = [one(2), all_via_plan];
+
+    for request in via_submit {
+        let wire = v1.submit(&request).unwrap();
+        assert!(
+            matches!(wire, Response::Plan(_)),
+            "expected a plan: {wire:?}"
+        );
+        assert_eq!(
+            ServerFrame::Reply(wire).encode(0),
+            ServerFrame::Reply(reference.submit(request)).encode(0),
+            "v1 plan is not bit-identical to the in-process plan"
+        );
+    }
+    for request in via_plan {
+        let mut deltas = 0usize;
+        let plan = v1.submit_plan(&request, |_| deltas += 1).unwrap();
+        assert_eq!(deltas, 0, "v1 connections never receive partial frames");
+        assert_eq!(
+            ServerFrame::Reply(Response::Plan(plan)).encode(0),
+            ServerFrame::Reply(reference.submit(request)).encode(0),
+            "v1 plan is not bit-identical to the in-process plan"
+        );
+    }
+    assert_eq!(server.engine().metrics().cache.hits, 0);
+    // The connection stays in sync after the plans.
     v1.ping().unwrap();
     assert_still_serving(&server);
     server.shutdown();

@@ -3,7 +3,8 @@
 //! degenerate inputs across the crate boundaries.
 
 use std::sync::Arc;
-use wqrtq::core::framework::Wqrtq;
+use wqrtq::core::advisor::{StrategyKind, WhyNotOptions};
+use wqrtq::core::framework::{Wqrtq, WqrtqAnswer};
 use wqrtq::core::mqwk::mqwk_view;
 use wqrtq::core::penalty::Tolerances;
 use wqrtq::data::realistic::{household_like_scaled, nba_like_scaled};
@@ -16,6 +17,16 @@ use wqrtq::rtree::RTree;
 fn indexed(dim: usize, coords: &[f64]) -> (RTree, DeltaView) {
     let view = DeltaView::plain(Arc::new(FlatPoints::from_row_major(dim, coords)));
     (RTree::bulk_load(dim, coords), view)
+}
+
+/// The facade's MQP refinement, through a one-strategy advisor plan.
+fn mqp_answer(wqrtq: &Wqrtq<&RTree>, why_not: &[Weight]) -> WqrtqAnswer {
+    let options = WhyNotOptions {
+        strategies: vec![StrategyKind::Mqp],
+        ..WhyNotOptions::default()
+    };
+    let plan = wqrtq.advise(why_not, &options).unwrap();
+    plan.recommended().answer.clone()
 }
 
 #[test]
@@ -32,7 +43,15 @@ fn nba_surrogate_pipeline() {
     let wqrtq = Wqrtq::with_view(&tree, view, &case.q, case.k).unwrap();
     let ranks = wqrtq.validate_why_not(&case.why_not).unwrap();
     assert_eq!(ranks, case.actual_ranks);
-    for a in wqrtq.all_refinements(&case.why_not, 120, 80, 5).unwrap() {
+    let options = WhyNotOptions {
+        sample_size: 120,
+        query_samples: 80,
+        seed: 5,
+        exact_2d: false,
+        ..WhyNotOptions::default()
+    };
+    for step in wqrtq.advise(&case.why_not, &options).unwrap().steps {
+        let a = step.answer;
         assert!(wqrtq.verify(&case.why_not, &a), "unverified: {a:?}");
     }
 }
@@ -95,7 +114,7 @@ fn degenerate_dataset_identical_points() {
     assert_eq!(rank_of_point_view(&tree, &view, &w, &[0.5, 0.5]), 1);
     // MQP still works: constraint is the shared score.
     let wqrtq = Wqrtq::with_view(&tree, view, &[0.9, 0.9], 3).unwrap();
-    let a = wqrtq.modify_query(std::slice::from_ref(&w)).unwrap();
+    let a = mqp_answer(&wqrtq, std::slice::from_ref(&w));
     assert!(wqrtq.verify(std::slice::from_ref(&w), &a));
 }
 
@@ -105,7 +124,7 @@ fn single_point_dataset() {
     let w = Weight::uniform(3);
     assert_eq!(rank_of_point_view(&tree, &view, &w, &[0.9, 0.9, 0.9]), 2);
     let wqrtq = Wqrtq::with_view(&tree, view, &[0.9, 0.9, 0.9], 1).unwrap();
-    let a = wqrtq.modify_query(std::slice::from_ref(&w)).unwrap();
+    let a = mqp_answer(&wqrtq, std::slice::from_ref(&w));
     assert!(wqrtq.verify(std::slice::from_ref(&w), &a));
 }
 
